@@ -23,7 +23,7 @@
 //!   the input (`Aᵀv .∗ ¬v`), so push→pull switches skip the sparse→dense
 //!   frontier conversion (§5.4, Gunrock's trick).
 //! * **structure-only** — the Boolean semiring ignores matrix values and
-//!   the push kernel key-only sorts (§5.5).
+//!   the push kernel dedups bare keys (§5.5).
 //!
 //! [`BfsOpts::ladder`] reproduces Table 2's cumulative configurations.
 //!

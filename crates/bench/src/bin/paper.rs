@@ -494,21 +494,31 @@ fn fig7(cfg: &Config) {
         if let Some(ratios) = ours_vs.get(name) {
             summary.row(vec![
                 (*name).to_string(),
-                format!("{:.2}x", geomean(ratios)),
+                geomean_cell(ratios),
                 (*reported).to_string(),
             ]);
         }
     }
     summary.print();
     println!(
-        "scale-free datasets: This Work vs Ligra-like geomean {:.2}x (paper: 3.51x faster)\n\
-         mesh/road datasets:  This Work vs Ligra-like geomean {:.2}x (paper: 3.2x slower ⇒ 0.31x)",
-        geomean(&scale_free_ratio),
-        geomean(&mesh_ratio)
+        "scale-free datasets: This Work vs Ligra-like geomean {} (paper: 3.51x faster)\n\
+         mesh/road datasets:  This Work vs Ligra-like geomean {} (paper: 3.2x slower ⇒ 0.31x)",
+        geomean_cell(&scale_free_ratio),
+        geomean_cell(&mesh_ratio)
     );
     let _ = runtime.write_csv(&cfg.out, "fig7_runtime");
     let _ = throughput.write_csv(&cfg.out, "fig7_mteps");
     let _ = summary.write_csv(&cfg.out, "fig7_summary");
+}
+
+/// A speed-up geomean as a report cell; `n/a` when `--dataset` left the
+/// bucket empty.
+fn geomean_cell(ratios: &[f64]) -> String {
+    if ratios.is_empty() {
+        "n/a".to_string()
+    } else {
+        format!("{:.2}x", geomean(ratios))
+    }
 }
 
 /// §6.3 heuristic study: α = β sweep against the per-level oracle.

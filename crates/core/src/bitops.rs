@@ -624,7 +624,8 @@ where
     let hint = s.product_hint()?;
     let (offsets, total) = crate::ops_mxv::expansion_offsets(op_t, v);
     if let Some(c) = counters {
-        // Same bulk charges as expand_keys_only + the key-only radix sort.
+        // Same bulk charges as the structure-only claim arm of the column
+        // kernel: the modeled expansion and key-only radix sort.
         c.add_matrix(total as u64);
         c.add_sort(total as u64 * sort::passes_for(op_t.n_rows().max(1) as u32 - 1) as u64);
     }

@@ -58,14 +58,18 @@ pub enum FormatChoice {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MergeStrategy {
     /// Concatenate all lists, radix sort, segmented-reduce — the paper's
-    /// GPU-friendly choice, `O(nnz(m_f⁺) log M)`.
+    /// GPU-friendly choice, `O(nnz(m_f⁺) log M)`. Under `structure_only`
+    /// with a constant product hint the merge is a pure dedup and runs as
+    /// the bitmap claim pass of [`MergeStrategy::BitmaskCull`], still
+    /// charged as the key-only radix sort it replaces.
     #[default]
     SortBased,
     /// Textbook k-way heap merge, `O(nnz(m_f⁺) log nnz(f))` — kept for the
     /// ablation bench.
     HeapMerge,
     /// Gunrock's local culling (§7.3): dedup through a bitmask claim
-    /// instead of sorting, `O(nnz(m_f⁺))` with no log factor. Only valid
+    /// instead of sorting the expansion, `O(nnz(m_f⁺))` plus a sort of
+    /// the unique ids only, and charged with no sort traffic. Only valid
     /// when the semiring provides a constant product hint (BFS-style
     /// traversals where duplicate products are all equal); the kernel
     /// falls back to [`MergeStrategy::SortBased`] otherwise.

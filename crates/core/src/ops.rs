@@ -11,7 +11,7 @@
 //!   short-circuit `OR` of Algorithm 2 line 8, generalized beyond Booleans.
 //! * **`MULT_IGNORES_A`** — the ⊗ operator never reads the matrix value.
 //!   When true, kernels skip loading matrix values and the column kernel
-//!   runs a key-only sort; that is *structure-only* (Optimization 5).
+//!   merges bare keys; that is *structure-only* (Optimization 5).
 
 use std::fmt::Debug;
 
@@ -47,7 +47,7 @@ pub trait Semiring<A: Scalar, X: Scalar, Y: Scalar>: Copy + Send + Sync {
     /// When `Some(c)`, the caller may assume every product of a stored
     /// matrix entry with an *explicit* input entry equals `c`. This is the
     /// structure-only contract (§5.5): with it, the column kernel drops the
-    /// value payload entirely and radix-sorts bare keys. `BoolStructure`
+    /// value payload entirely and dedups bare keys. `BoolStructure`
     /// over an all-`true` BFS frontier satisfies it with `c = true`.
     fn product_hint(&self) -> Option<Y> {
         None

@@ -21,7 +21,7 @@ use crate::ops::{Monoid, Scalar, Semiring};
 use crate::vector::{DenseVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, ShardGrid, ShardPlan, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::{gather, merge, pool, scan, segreduce, sort, AtomicBitVec, Spa};
+use graphblas_primitives::{gather, merge, pool, scan, segreduce, sort, Spa};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -434,7 +434,8 @@ where
     }
 
     // Structure-only fast path: all products are a known constant, so the
-    // expansion carries bare keys and the sort is key-only (§5.5).
+    // merge is a pure dedup — a claim pass instead of Algorithm 3's
+    // expand/sort/dedup. Charges stay those of the key-only sort (§5.5).
     let structure_hint = if desc.structure_only {
         s.product_hint()
     } else {
@@ -442,35 +443,37 @@ where
     };
 
     let sort_based = |counters: Option<&AccessCounters>| -> (Vec<u32>, Vec<Y>) {
+        let max_key = op_t.n_rows().max(1) as u32 - 1;
         if let Some(hint) = structure_hint {
-            let mut keys = expand_keys_only(op_t, v, counters);
+            let total = expanded_len(op_t, v);
             if let Some(c) = counters {
-                c.add_sort(
-                    keys.len() as u64 * sort::passes_for(op_t.n_rows().max(1) as u32 - 1) as u64,
-                );
+                c.add_matrix(total as u64);
             }
-            sort::sort_keys(&mut keys, op_t.n_rows().max(1) as u32 - 1);
-            keys.dedup();
-            let vals = vec![hint; keys.len()];
-            (keys, vals)
+            // Caller-thread charge for Algorithm 3's bare-key expansion
+            // buffer: the modeled traffic, metered even though the claim
+            // pass never materializes it.
+            if !crate::exec::charge_alloc(counters, output_bytes::<u32>(total)) {
+                return (Vec::new(), Vec::new());
+            }
+            if let Some(c) = counters {
+                c.add_sort(total as u64 * sort::passes_for(max_key) as u64);
+            }
+            claim_unique(op_t, v, hint)
         } else {
             let (mut keys, mut prods) = expand_pairs(s, op_t, v, counters);
             if let Some(c) = counters {
                 // Key-value sort moves twice the data of a key-only sort —
                 // the factor structure-only removes.
-                c.add_sort(
-                    2 * keys.len() as u64
-                        * sort::passes_for(op_t.n_rows().max(1) as u32 - 1) as u64,
-                );
+                c.add_sort(2 * keys.len() as u64 * sort::passes_for(max_key) as u64);
             }
-            sort::sort_pairs(&mut keys, &mut prods, op_t.n_rows().max(1) as u32 - 1);
+            sort::sort_pairs(&mut keys, &mut prods, max_key);
             segreduce::segmented_reduce_by_key(&keys, &prods, |a, b| add.op(a, b))
         }
     };
 
     let (mut ids, mut vals) = match desc.merge_strategy {
         // The sort-based merge is where the bit-parallel push arm slots in:
-        // same structure-only precondition as the key-only sort, plus a
+        // same structure-only precondition as the claim arm, plus a
         // word-surfaced store and the descriptor opt-in. The bit arm
         // replaces expand/sort/dedup with word-wise OR of source-row spans
         // but charges the identical matrix/sort amounts (see
@@ -481,32 +484,21 @@ where
             Some(parts) => parts,
             None => sort_based(counters),
         },
-        MergeStrategy::BitmaskCull => {
-            // Gunrock-style local culling (§7.3): claim output slots in a
-            // bitmask instead of sorting. Requires every surviving product
-            // to be the same constant; fall back to sorting otherwise.
-            match s.product_hint() {
-                Some(hint) => {
-                    let (offsets, total) = expansion_offsets(op_t, v);
-                    if let Some(c) = counters {
-                        c.add_vector(total as u64);
-                        c.add_matrix(total as u64);
-                    }
-                    let claimed = AtomicBitVec::new(op_t.n_rows());
-                    let ids_ref = v.ids();
-                    gather::interval_gather(&offsets, pool::DEFAULT_GRAIN, |seg, within, _pos| {
-                        let src = ids_ref[seg] as usize;
-                        claimed.set(op_t.row(src)[within] as usize);
-                    });
-                    // Bit iteration yields sorted unique indices for free.
-                    let keys: Vec<u32> =
-                        claimed.to_bitvec().iter_ones().map(|i| i as u32).collect();
-                    let vals = vec![hint; keys.len()];
-                    (keys, vals)
+        // Gunrock-style local culling (§7.3): the same claim pass, charged
+        // as what it is — one vector and one matrix touch per product, no
+        // sort. Requires every product to be the same constant; falls back
+        // to the sort-based merge otherwise.
+        MergeStrategy::BitmaskCull => match s.product_hint() {
+            Some(hint) => {
+                if let Some(c) = counters {
+                    let total = expanded_len(op_t, v) as u64;
+                    c.add_vector(total);
+                    c.add_matrix(total);
                 }
-                None => sort_based(counters),
+                claim_unique(op_t, v, hint)
             }
-        }
+            None => sort_based(counters),
+        },
         MergeStrategy::SpaMerge => {
             if v.nnz() == 0 {
                 (Vec::new(), Vec::new())
@@ -914,36 +906,37 @@ where
     (keys, prods)
 }
 
-/// Expand the selected columns into bare row indices (structure-only path:
-/// no matrix values, no products).
-fn expand_keys_only<A, X, M>(
-    op_t: &M,
-    v: &SparseVector<X>,
-    counters: Option<&AccessCounters>,
-) -> Vec<u32>
+/// Expanded product count `Σ deg` over the frontier's selected rows.
+fn expanded_len<A: Scalar, X: Scalar, M: RowAccess<A>>(op_t: &M, v: &SparseVector<X>) -> usize {
+    v.ids().iter().map(|&k| op_t.degree(k as usize)).sum()
+}
+
+/// The claim pass of the structure-only merges: walk each frontier row,
+/// test-and-set every column in a scratch bitmap, and keep a column only
+/// the first time it is claimed; then sort the unique keys. Yields exactly
+/// what expand → sort → dedup does, without materializing or sorting the
+/// duplicates. Serial: a parallel `fetch_or` claim measured slower.
+fn claim_unique<A, X, Y, M>(op_t: &M, v: &SparseVector<X>, hint: Y) -> (Vec<u32>, Vec<Y>)
 where
     A: Scalar,
     X: Scalar,
+    Y: Scalar,
     M: RowAccess<A>,
 {
-    let (offsets, total) = expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        c.add_matrix(total as u64);
+    let mut claimed = vec![0u64; op_t.n_cols().div_ceil(64)];
+    let mut keys = Vec::new();
+    for &src in v.ids() {
+        for &j in op_t.row(src as usize) {
+            let (word, bit) = (&mut claimed[j as usize / 64], 1u64 << (j % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                keys.push(j);
+            }
+        }
     }
-    // Caller-thread charge for the bare-key expansion buffer.
-    if !crate::exec::charge_alloc(counters, output_bytes::<u32>(total)) {
-        return Vec::new();
-    }
-    let mut keys = vec![0u32; total];
-    let kp = SendPtr(keys.as_mut_ptr());
-    let ids = v.ids();
-    gather::interval_gather(&offsets, pool::DEFAULT_GRAIN, |seg, within, pos| {
-        let src = ids[seg] as usize;
-        let j = op_t.row(src)[within];
-        // SAFETY: positions partition 0..total; writes are disjoint.
-        unsafe { *kp.get().add(pos) = j };
-    });
-    keys
+    keys.sort_unstable();
+    let vals = vec![hint; keys.len()];
+    (keys, vals)
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@
 //! * [`gather`] — load-balanced interval gather over CSR-style segments.
 //! * [`sort`] — LSD radix sort, key-only and key-value. The key-only /
 //!   key-value distinction is exactly the paper's *structure-only*
-//!   optimization (§5.5): dropping the value payload halves sort traffic.
+//!   optimization (§5.5): dropping the value payload halves sort traffic
+//!   (the traffic the structure-only column kernel is charged).
 //! * [`segreduce`] — segmented reduction under an arbitrary monoid.
 //! * [`merge`] — heap-based multiway merge, the textbook `O(n log k)`
 //!   alternative analyzed in §3.1 (kept for the ablation bench).

@@ -6,10 +6,11 @@
 //! is the number of matrix rows. Two entry points matter to the paper:
 //!
 //! * [`sort_pairs`] — (key, value) sort, used by the generic semiring path;
-//! * [`sort_keys`] — key-only sort, used when the *structure-only*
-//!   optimization (§5.5) applies: BFS never reads values, and dropping the
-//!   payload roughly halves the memory traffic of the sort, which the paper
-//!   measures as a 1.62× end-to-end speedup.
+//! * [`sort_keys`] — key-only sort, the *structure-only* optimization
+//!   (§5.5): BFS never reads values, and dropping the payload roughly
+//!   halves the memory traffic of the sort, which the paper measures as a
+//!   1.62× end-to-end speedup. The column kernel charges that traffic but
+//!   dedups bare keys through a claim bitmap instead of running the sort.
 //!
 //! The implementation is a stable LSD radix sort with 8-bit digits and a
 //! chunked parallel counting/scatter phase per digit. The number of passes

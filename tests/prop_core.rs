@@ -785,3 +785,123 @@ proptest! {
         prop_assert_eq!(&r.depths, &d_scalar, "cost-model depths");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The structure-only claim arm of the default sort-based push: a bitmap
+// claim pass stands in for Algorithm 3's expand → radix sort → dedup, yet
+// charges exactly that modeled traffic and meters the same key buffer.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On sparse random graphs (many empty rows), with a random frontier
+    /// whose id list repeats an entry, a frontier of isolated vertices
+    /// only, or a frontier covering every vertex: the claim arm's output
+    /// equals the heap- and SPA-merge arms and the neighbour-union oracle,
+    /// its charges are exactly `matrix = Σdeg`, `sort = Σdeg·passes`,
+    /// `mask = |unique|`, at 1 and 4 lanes; a bytes budget one byte short
+    /// of the key buffer aborts typed with the counters rolled back.
+    #[test]
+    fn claim_arm_matches_merges_and_charges_algorithm3_traffic(
+        g in arb_graph(90, 200),
+        f_ids in prop::collection::vec(0usize..90, 0..30),
+        m_ids in prop::collection::vec(0usize..90, 0..40),
+        frontier_kind in 0u8..3,
+        masked in any::<bool>(),
+        complement in any::<bool>(),
+        transpose in any::<bool>(),
+    ) {
+        use push_pull::core::ops::BoolStructure;
+        use push_pull::core::{run_guarded, BudgetResource, ExecLimits, GrbError};
+        use push_pull::primitives::sort::passes_for;
+        use std::collections::BTreeSet;
+
+        let n = g.n_vertices();
+        // Push walks the rows of the transpose of the operand.
+        let op_t = if transpose { g.csr() } else { g.csr_t() };
+        let ids: Vec<usize> = match frontier_kind {
+            0 => f_ids.iter().chain(f_ids.first()).copied().collect(),
+            1 => (0..n)
+                .filter(|&i| g.csr().row(i).is_empty() && g.csr_t().row(i).is_empty())
+                .collect(),
+            _ => (0..n).collect(),
+        };
+        let f = sparse_bool_vector(n, &ids);
+        let frontier: Vec<usize> = f.iter_explicit().map(|(i, _)| i as usize).collect();
+        let sum_deg: u64 = frontier.iter().map(|&k| op_t.row(k).len() as u64).sum();
+        let unique: BTreeSet<u32> =
+            frontier.iter().flat_map(|&k| op_t.row(k).iter().copied()).collect();
+
+        let mut bits = BitVec::new(n);
+        for &i in m_ids.iter().filter(|&&i| i < n) {
+            bits.set(i);
+        }
+        let mask = if complement { Mask::complement(&bits) } else { Mask::new(&bits) };
+        let mask = masked.then_some(&mask);
+        let oracle: Vec<u32> = unique
+            .iter()
+            .copied()
+            .filter(|&j| mask.is_none_or(|m| m.allows(j as usize)))
+            .collect();
+
+        let desc = |strategy| {
+            Descriptor::new()
+                .transpose(transpose)
+                .structure_only(true)
+                .bit_kernels(false)
+                .force(Direction::Push)
+                .merge_strategy(strategy)
+        };
+        let run = |strategy, c: Option<&AccessCounters>| {
+            mxv(mask, BoolStructure, &g, &f, &desc(strategy), c).map(|w: Vector<bool>| explicit_set(&w))
+        };
+        let key_bytes = 4 * sum_deg;
+        for lanes in [1, 4] {
+            let (claimed, others, snap, denied, admitted) = rayon::with_num_threads(lanes, || {
+                let c = AccessCounters::new();
+                let claimed = run(MergeStrategy::SortBased, Some(&c)).unwrap();
+                let others = [MergeStrategy::HeapMerge, MergeStrategy::SpaMerge]
+                    .map(|other| run(other, None).unwrap());
+                // The key-buffer charge is the arm's only allocation: one
+                // byte short denies it (pre-existing tallies must survive
+                // the rollback), exactly enough admits it.
+                let denied = (key_bytes > 0).then(|| {
+                    let c = AccessCounters::new();
+                    c.add_matrix(7);
+                    let before = c.snapshot();
+                    let limits = ExecLimits::none().with_bytes_budget(key_bytes - 1);
+                    let out = run_guarded(Some(&c), &limits, |c| run(MergeStrategy::SortBased, c));
+                    (out, before == c.snapshot())
+                });
+                let limits = ExecLimits::none().with_bytes_budget(key_bytes);
+                let admitted = run_guarded(None, &limits, |c| run(MergeStrategy::SortBased, c));
+                (claimed, others, c.snapshot(), denied, admitted)
+            });
+            prop_assert_eq!(&claimed, &oracle, "oracle at {} lanes", lanes);
+            for other in &others {
+                prop_assert_eq!(other, &claimed, "heap/SPA merge at {} lanes", lanes);
+            }
+            prop_assert_eq!(snap.matrix, sum_deg, "matrix at {} lanes", lanes);
+            prop_assert_eq!(
+                snap.sort,
+                sum_deg * passes_for(n as u32 - 1) as u64,
+                "sort at {} lanes",
+                lanes
+            );
+            let mask_reads = if masked { unique.len() as u64 } else { 0 };
+            prop_assert_eq!(snap.mask, mask_reads, "mask at {} lanes", lanes);
+            prop_assert_eq!(snap.vector, frontier.len() as u64, "vector at {} lanes", lanes);
+            if let Some((out, rolled_back)) = denied {
+                prop_assert_eq!(
+                    out,
+                    Err(GrbError::BudgetExceeded { resource: BudgetResource::Bytes }),
+                    "denied budget at {} lanes",
+                    lanes
+                );
+                prop_assert!(rolled_back, "counters rolled back at {} lanes", lanes);
+            }
+            prop_assert_eq!(admitted, Ok(claimed), "admitted budget at {} lanes", lanes);
+        }
+    }
+}
