@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! 1. column-kernel merge strategy — radix sort (§6.2) vs heap k-way merge
-//!    (§3.1);
+//! 1. column-kernel merge strategy — radix sort (§6.2) vs per-worker SPA
+//!    merge (§3.2);
 //! 2. key-only vs key-value sort in the expansion (structure-only, §5.5);
 //! 3. masked row kernel with the amortized active list (§3.2) vs plain
 //!    dense bit scan;
@@ -38,7 +38,6 @@ fn bench_merge_strategy(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
     for (name, strategy) in [
         ("radix_sort", MergeStrategy::SortBased),
-        ("heap_merge", MergeStrategy::HeapMerge),
         ("spa_merge", MergeStrategy::SpaMerge),
     ] {
         let desc = Descriptor::new()
@@ -49,21 +48,6 @@ fn bench_merge_strategy(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let w: Vector<bool> = mxv(None, BoolOrAnd, &g, black_box(&f), &desc, None).unwrap();
-                black_box(w)
-            })
-        });
-    }
-    // Gunrock's §7.3 alternative: bitmask culling, no sort at all (needs a
-    // constant-product semiring).
-    {
-        let desc = Descriptor::new()
-            .transpose(true)
-            .force(Direction::Push)
-            .merge_strategy(MergeStrategy::BitmaskCull);
-        group.bench_function("bitmask_cull", |b| {
-            b.iter(|| {
-                let w: Vector<bool> =
-                    mxv(None, BoolStructure, &g, black_box(&f), &desc, None).unwrap();
                 black_box(w)
             })
         });

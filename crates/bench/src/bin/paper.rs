@@ -1077,8 +1077,9 @@ fn bitfrontier(cfg: &Config) {
 }
 
 /// Sharded 2D tile execution study: cache-blocked push (stripe-local SPA
-/// merges, no global merge barrier) and pull (tile-streamed) matvecs over
-/// each shard grid vs the unsharded oracle, per dataset. Every arm is
+/// merges, no global merge barrier) over each shard grid vs the unsharded
+/// oracle, per dataset, with the pull matvec timed under the same grids
+/// (pull never shards, so its arms match the unsharded pull). Every arm is
 /// equivalence-gated — identical values and identical charged accesses —
 /// before anything is timed, so sharding can only move wall clock. Emits
 /// the machine-readable `BENCH_shards.json` companion artifact.

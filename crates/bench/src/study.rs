@@ -735,7 +735,8 @@ pub struct ShardArm {
     pub grid: (u32, u32),
     /// Median sharded push matvec (sparse frontier, SPA merge), ms.
     pub push_ms: f64,
-    /// Median sharded pull matvec (dense input, tile-streamed), ms.
+    /// Median pull matvec (dense input) with the grid requested, ms. Pull
+    /// never shards, so this times the same kernel as the unsharded arm.
     pub pull_ms: f64,
     /// Total charged accesses of the counted sharded push run.
     pub push_total: u64,
@@ -767,8 +768,10 @@ pub struct ShardsStudy {
 
 /// The sharding study: the standard scaling workload's push (sparse
 /// frontier through the SPA-merge kernel — the face whose global merge
-/// sharding replaces with stripe-local merges) and pull (dense input,
-/// tile-streamed) matvecs, unsharded vs each 2D shard grid.
+/// sharding replaces with stripe-local merges) and pull (dense input)
+/// matvecs, unsharded vs each 2D shard grid. Only push shards: the pull
+/// columns request each grid and run the one unsharded row driver, so they
+/// measure the grid's (absent) effect on pull.
 ///
 /// Every arm is equivalence-gated before timing: sharded values and every
 /// charged access must match the unsharded oracle bit for bit (shard
@@ -792,8 +795,8 @@ pub fn shards_study(
         ..
     } = scaling_inputs(g, seed);
     // Pin the push face to the SPA-merge kernel (the face sharding
-    // reworks) and keep the pull face off the bit-parallel arm so the
-    // tile-streaming traversal is the path under test.
+    // reworks) and keep the pull face on the scalar reducer, so the pull
+    // columns time the plain row kernel on every store the planner picks.
     let desc_push = desc_push.merge_strategy(MergeStrategy::SpaMerge);
     let desc_pull = desc_pull.bit_kernels(false);
 

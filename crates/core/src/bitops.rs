@@ -442,10 +442,6 @@ where
     Y: Scalar,
     M: RowAccess<A>,
 {
-    // Per-row checkpoint, mirroring the scalar `reduce_row`.
-    if !crate::exec::live(counters) {
-        return identity;
-    }
     let (scanned, hit) = first_hit(op, &ctx.words, i);
     let examined = match hit {
         Some((rank, _)) if early_exit && ctx.break_on_hit => rank,

@@ -6,7 +6,7 @@
 //! the paper's optimizations so each can be disabled in isolation:
 //! direction choice (force push/pull or auto), the sparse↔dense switch
 //! threshold (`α = β = 0.01`), early-exit, structure-only, and the multiway
-//! merge strategy of §6.2 (radix sort vs. heap merge).
+//! merge strategy of §6.2 (radix sort vs. per-worker SPA merge).
 
 use graphblas_matrix::{ShardGrid, StorageFormat};
 
@@ -60,20 +60,10 @@ pub enum MergeStrategy {
     /// Concatenate all lists, radix sort, segmented-reduce — the paper's
     /// GPU-friendly choice, `O(nnz(m_f⁺) log M)`. Under `structure_only`
     /// with a constant product hint the merge is a pure dedup and runs as
-    /// the bitmap claim pass of [`MergeStrategy::BitmaskCull`], still
-    /// charged as the key-only radix sort it replaces.
+    /// a bitmap claim pass (Gunrock's local culling, §7.3), still charged
+    /// as the key-only radix sort it replaces.
     #[default]
     SortBased,
-    /// Textbook k-way heap merge, `O(nnz(m_f⁺) log nnz(f))` — kept for the
-    /// ablation bench.
-    HeapMerge,
-    /// Gunrock's local culling (§7.3): dedup through a bitmask claim
-    /// instead of sorting the expansion, `O(nnz(m_f⁺))` plus a sort of
-    /// the unique ids only, and charged with no sort traffic. Only valid
-    /// when the semiring provides a constant product hint (BFS-style
-    /// traversals where duplicate products are all equal); the kernel
-    /// falls back to [`MergeStrategy::SortBased`] otherwise.
-    BitmaskCull,
     /// Per-worker sparse accumulators (Gilbert–Moler–Schreiber SPA, §3.2):
     /// the frontier is cut into expansion-balanced chunks, each chunk
     /// scatters its products into a private SPA (`O(1)` per product, no
@@ -91,6 +81,8 @@ pub enum MergeStrategy {
 /// format half. Sharded and unsharded runs are bit-identical in values and
 /// access counters by contract; sharding changes the merge topology
 /// (stripe-local instead of one global barrier) and memory locality only.
+/// Only the push face shards: pull always runs the one unsharded row
+/// driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
     /// Never shard — the proptested oracle path.
@@ -265,7 +257,7 @@ mod tests {
             .force(Direction::Pull)
             .early_exit(false)
             .structure_only(false)
-            .merge_strategy(MergeStrategy::HeapMerge)
+            .merge_strategy(MergeStrategy::SpaMerge)
             .switch_threshold(0.05)
             .bit_kernels(false)
             .shard_grid(ShardGrid::new(2, 4))
@@ -277,7 +269,7 @@ mod tests {
         assert_eq!(d.direction, DirectionChoice::Force(Direction::Pull));
         assert!(!d.early_exit);
         assert!(!d.structure_only);
-        assert_eq!(d.merge_strategy, MergeStrategy::HeapMerge);
+        assert_eq!(d.merge_strategy, MergeStrategy::SpaMerge);
         assert!((d.switch_threshold - 0.05).abs() < f64::EPSILON);
         assert_eq!(d.format, FormatChoice::Force(StorageFormat::Dcsr));
     }

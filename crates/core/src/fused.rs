@@ -20,9 +20,10 @@
 //! the chosen kernel face** when the terminal
 //! [`assign_into`](FusedPipeline::assign_into) runs:
 //!
-//! * **Pull** (row kernel): each row chunk reduces its rows, applies the
-//!   unary op, and writes survivors straight into the caller's state slice
-//!   — the dense intermediate never exists. With
+//! * **Pull** (row kernel): the one pull driver runs with an apply +
+//!   assign sink — each row chunk reduces its rows, applies the unary op,
+//!   and writes survivors straight into the caller's state slice, so the
+//!   dense intermediate never exists. With
 //!   [`first_hit_exit`](FusedMxv::first_hit_exit), a row's neighbor scan
 //!   additionally stops at the *first* explicit input hit — parent-BFS's
 //!   per-row early exit, a win the unfused path cannot express because
@@ -47,12 +48,11 @@ use crate::descriptor::{Descriptor, Direction};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::ops_mxv::{col_kernel_parts, reduce_row, SendPtr, ROW_GRAIN};
-use crate::vector::{DenseVector, SparseVector, Vector};
+use crate::ops_mxv::{col_kernel_parts, SendPtr};
+use crate::pull::{pull, PullSink, PullSource, Reduce};
+use crate::vector::{SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, StoreRef, VertexId};
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::pool;
-use rayon::prelude::*;
 use std::marker::PhantomData;
 
 /// Result of a fused pipeline execution.
@@ -249,9 +249,9 @@ where
     ///
     /// An attached mask's active list must honor the
     /// [`Mask::with_active_list`] contract (strictly ascending, hence
-    /// unique — debug-asserted here): the pull face partitions the list
-    /// across workers and writes each listed row's state slot without
-    /// synchronization.
+    /// unique, and in range — asserted by the pull driver, which panics
+    /// otherwise): the pull face partitions the list across workers and
+    /// writes each listed row's state slot without synchronization.
     pub fn assign_into<U>(self, state: &mut [Z], update: U) -> GrbResult<FusedOutput>
     where
         U: Fn(Z, Z) -> Option<Z> + Sync + Send,
@@ -340,19 +340,47 @@ where
                         &dense_input
                     }
                 };
-                let out = match crate::exec::store_budgeted(
+                let sink = AssignSink {
+                    state: SendPtr(state.as_mut_ptr()),
+                    apply: &apply,
+                    update: &update,
+                    identity: base.s.add_monoid().identity(),
+                    keep_identity: base.keep_identity,
+                    collect_touched: base.collect_touched,
+                };
+                let src = [PullSource {
+                    v: dv,
+                    mask: base.mask,
+                    counters: base.counters,
+                }];
+                // Early exit applies to masked pulls only (the driver's
+                // rule); first-hit exit is the caller's stronger opt-in.
+                let how = Reduce {
+                    desc: Some(&base.desc),
+                    early_exit: base.desc.early_exit,
+                    first_hit: base.first_hit_exit,
+                };
+                if let Some(c) = base.counters {
+                    // The unfused composition materializes (and
+                    // identity-fills) a dense n-slot output buffer every
+                    // pull step; fusion skips all of it.
+                    c.add_fused_saved_writes(state.len() as u64);
+                }
+                let parts = match crate::exec::store_budgeted(
                     base.graph,
                     base.desc.transpose,
                     plan.format,
                     base.counters,
                 ) {
-                    StoreRef::Csr(m) => fused_pull(&base, m, dv, &apply, &update, state),
-                    StoreRef::Bitmap(m) => fused_pull(&base, m, dv, &apply, &update, state),
-                    StoreRef::Dcsr(m) => fused_pull(&base, m, dv, &apply, &update, state),
+                    StoreRef::Csr(m) => pull(base.s, m, &src, how, &sink),
+                    StoreRef::Bitmap(m) => pull(base.s, m, &src, how, &sink),
+                    StoreRef::Dcsr(m) => pull(base.s, m, &src, how, &sink),
                 };
                 // Post-kernel poll: see the push arm.
                 crate::exec::check_stop(base.counters)?;
-                Ok(out)
+                let touched = parts.concat();
+                debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched sorted");
+                Ok(FusedOutput { touched })
             }
         }
     }
@@ -410,199 +438,48 @@ where
     FusedOutput { touched }
 }
 
-/// Pull face: row chunks reduce, apply, and assign in one pass, writing the
-/// caller's state slice directly — the `O(M)` dense intermediate of the
-/// unfused row kernel is never allocated. Chunk boundaries derive from the
-/// work-list size only ([`pool::index_chunks`]), so `touched` and every
-/// state write are identical at any lane count.
-fn fused_pull<A, X, Y, Z, S, F, U, M>(
-    base: &FusedMxv<'_, A, X, S>,
-    op: &M,
-    v: &DenseVector<X>,
-    apply: &F,
-    update: &U,
-    state: &mut [Z],
-) -> FusedOutput
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    Z: Scalar,
-    S: Semiring<A, X, Y>,
-    F: Fn(Y) -> Z + Sync + Send,
-    U: Fn(Z, Z) -> Option<Z> + Sync + Send,
-    M: RowAccess<A>,
-{
-    let s = base.s;
-    let identity = s.add_monoid().identity();
-    let n = op.n_rows();
-    // Same mask charges as the unfused row kernels: the active list when
-    // present, a full row scan otherwise, nothing when unmasked.
-    let active = base.mask.and_then(|m| m.active_list());
-    // The with_active_list contract — strictly ascending, hence unique —
-    // is what makes the unsynchronized per-row *caller-state* writes below
-    // race-free: a duplicated row split across two chunks would be a data
-    // race on state[i]. Checked unconditionally (not just in debug) because
-    // the list arrives through safe public API and the consequence is UB;
-    // the O(len) scan is noise next to the per-row reductions.
-    assert!(
-        active.is_none_or(|list| list.windows(2).all(|w| w[0] < w[1])),
-        "mask active list must be strictly ascending (unique)"
-    );
-    if let (Some(c), Some(m)) = (base.counters, base.mask) {
-        c.add_mask(m.active_list().map_or(n, <[u32]>::len) as u64);
-    }
-    if let Some(c) = base.counters {
-        // The unfused composition materializes (and identity-fills) a dense
-        // n-slot output buffer every pull step; fusion skips all of it.
-        c.add_fused_saved_writes(n as u64);
-    }
-    // Early-exit applies to masked pulls only, mirroring the `mxv`
-    // dispatch; first-hit exit is the caller's stronger opt-in.
-    let early_exit = base.mask.is_some() && base.desc.early_exit;
-    // Bit-parallel arm, packed once per call (same dispatch rule as the
-    // unfused pull face). The first-hit path is fully generic — the CSR
-    // rank of the first AND hit indexes the CSR values — so it needs only
-    // the packed operand words; the plain reduction goes through the
-    // hint-qualified context.
-    let fh_words = if base.first_hit_exit && base.desc.bit_kernels && op.has_row_words() {
-        Some(crate::bitops::pack_frontier(v, base.counters))
-    } else {
-        None
-    };
-    let bitctx = if base.first_hit_exit {
-        None
-    } else {
-        crate::bitops::bit_pull_ctx(s, op, v, &base.desc, base.counters)
-    };
-    // Unmasked, not keep-identity: a hypersparse store's empty rows reduce
-    // to the ⊕ identity and are skipped before apply/assign anyway, so
-    // scan only the non-empty rows and bulk-charge the skipped rows'
-    // bookkeeping (`examined + 1` = 1 vector touch each in `reduce_row`) —
-    // counter totals stay bit-identical to the full scan. `keep_identity`
-    // consumers (PageRank) assign identity rows too, so they keep the
-    // full scan.
-    let hyper = if base.mask.is_none() && !base.keep_identity {
-        op.nonempty_rows()
-    } else {
-        None
-    };
-    if let (Some(c), Some(rows)) = (base.counters, hyper) {
-        c.add_vector((n - rows.len()) as u64);
-    }
-    let work_len = active.or(hyper).map_or(n, <[u32]>::len);
-    let out = SendPtr(state.as_mut_ptr());
-    let parts: Vec<Vec<u32>> = pool::index_chunks(work_len, ROW_GRAIN)
-        .into_par_iter()
-        .map(|range| {
-            let mut touched = Vec::new();
-            for idx in range {
-                let (i, allowed) = match (base.mask, active) {
-                    (_, Some(list)) => {
-                        let i = list[idx] as usize;
-                        debug_assert!(
-                            base.mask.is_none_or(|m| m.allows(i)),
-                            "active list disagrees with mask"
-                        );
-                        (i, true)
-                    }
-                    (Some(m), None) => (idx, m.allows(idx)),
-                    (None, None) => match hyper {
-                        Some(rows) => (rows[idx] as usize, true),
-                        None => (idx, true),
-                    },
-                };
-                if !allowed {
-                    continue;
-                }
-                let y = if base.first_hit_exit {
-                    match &fh_words {
-                        Some(words) => crate::bitops::bit_reduce_row_first_hit(
-                            s,
-                            op,
-                            words,
-                            v,
-                            i,
-                            identity,
-                            base.counters,
-                        ),
-                        None => reduce_row_first_hit(s, op, v, i, identity, base.counters),
-                    }
-                } else {
-                    match &bitctx {
-                        Some(ctx) => crate::bitops::bit_reduce_row(
-                            op,
-                            ctx,
-                            i,
-                            identity,
-                            early_exit,
-                            base.counters,
-                        ),
-                        None => reduce_row(s, op, v, i, identity, early_exit, base.counters),
-                    }
-                };
-                if base.keep_identity || y != identity {
-                    let z = apply(y);
-                    // SAFETY: each output row belongs to exactly one chunk
-                    // (ranges partition the work list; active-list entries
-                    // are strictly ascending, asserted above), so
-                    // reads/writes of state[i] are disjoint across workers.
-                    let old = unsafe { *out.get().add(i) };
-                    if let Some(next) = update(old, z) {
-                        unsafe { *out.get().add(i) = next };
-                        if base.collect_touched {
-                            touched.push(i as u32);
-                        }
-                    }
-                }
-            }
-            touched
-        })
-        .collect();
-    let mut touched = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        touched.extend(part);
-    }
-    debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched sorted");
-    FusedOutput { touched }
+/// Pull-face sink: each reduced row is applied and assigned straight into
+/// the caller's state slice — the `O(M)` dense intermediate of the unfused
+/// row kernel is never allocated. Identity rows are skipped unless the
+/// consumer keeps them; each chunk collects the rows it assigned, and the
+/// driver returns the chunks in row order, so `touched` comes back sorted
+/// and identical at any lane count.
+struct AssignSink<'f, Y, Z, F, U> {
+    state: SendPtr<Z>,
+    apply: &'f F,
+    update: &'f U,
+    identity: Y,
+    keep_identity: bool,
+    collect_touched: bool,
 }
 
-/// Reduce one row stopping at the first explicit input hit (the
-/// [`FusedMxv::first_hit_exit`] contract). Counter bookkeeping matches
-/// [`reduce_row`]: one matrix access per examined neighbor.
-#[inline]
-fn reduce_row_first_hit<A, X, Y, S, M>(
-    s: S,
-    op: &M,
-    v: &DenseVector<X>,
-    i: usize,
-    identity: Y,
-    counters: Option<&AccessCounters>,
-) -> Y
+impl<Y, Z, F, U> PullSink<Y> for AssignSink<'_, Y, Z, F, U>
 where
-    A: Scalar,
-    X: Scalar,
     Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
+    Z: Scalar,
+    F: Fn(Y) -> Z + Sync,
+    U: Fn(Z, Z) -> Option<Z> + Sync,
 {
-    let add = s.add_monoid();
-    let cols = op.row(i);
-    let avals = op.row_values(i);
-    let mut acc = identity;
-    let mut examined = 0u64;
-    for (idx, &j) in cols.iter().enumerate() {
-        examined += 1;
-        if v.is_explicit(j as usize) {
-            acc = add.op(acc, s.mult(avals[idx], v.get(j as usize)));
-            break;
+    type Part = Vec<VertexId>;
+
+    fn keeps_identity(&self) -> bool {
+        self.keep_identity
+    }
+
+    unsafe fn put(&self, _j: usize, i: usize, y: Y, touched: &mut Vec<VertexId>) {
+        if self.keep_identity || y != self.identity {
+            let z = (self.apply)(y);
+            // SAFETY: the driver puts each row at most once and in bounds,
+            // so reads/writes of state[i] are disjoint across workers.
+            let slot = unsafe { self.state.get().add(i) };
+            if let Some(next) = (self.update)(unsafe { *slot }, z) {
+                unsafe { *slot = next };
+                if self.collect_touched {
+                    touched.push(i as VertexId);
+                }
+            }
         }
     }
-    if let Some(c) = counters {
-        c.add_matrix(examined);
-        c.add_vector(examined + 1);
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -709,13 +586,7 @@ mod tests {
             (out.touched, d)
         };
         let reference = run(MergeStrategy::SortBased);
-        for strategy in [
-            MergeStrategy::SpaMerge,
-            MergeStrategy::HeapMerge,
-            MergeStrategy::BitmaskCull,
-        ] {
-            assert_eq!(run(strategy), reference, "{strategy:?}");
-        }
+        assert_eq!(run(MergeStrategy::SpaMerge), reference);
     }
 
     #[test]
@@ -844,13 +715,46 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn duplicate_active_list_is_rejected_in_release_too() {
-        // The unsynchronized caller-state writes rely on list uniqueness;
-        // a duplicated row must be refused, not raced on.
+        // The unsynchronized output and caller-state writes rely on list
+        // uniqueness; a duplicated row must be refused, not raced on, by
+        // every pull sink.
         let g = fig3_graph();
         let (mut f, visited) = setup();
         f.make_dense();
         let dup = [4u32, 4];
         let mask = Mask::complement(&visited).with_active_list(&dup);
+        let desc = bfs_desc().force(Direction::Pull);
+        let refused = |run: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("a malformed active list must panic");
+            let msg = err
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("strictly ascending"), "panic message: {msg}");
+        };
+        // An id past the output dimension is refused the same way.
+        let past_end = [4u32, 8];
+        let wide = Mask::complement(&visited).with_active_list(&past_end);
+        for m in [&mask, &wide] {
+            refused(&|| {
+                let _: Vector<bool> = mxv(Some(m), BoolOrAnd, &g, &f, &desc, None).unwrap();
+            });
+            refused(&|| {
+                let batch = crate::MultiVector::from_rows(vec![f.clone()]);
+                let _: crate::MultiVector<bool> = crate::mxv_batch(
+                    Some(std::slice::from_ref(m)),
+                    BoolOrAnd,
+                    &g,
+                    &batch,
+                    &desc,
+                    None,
+                    None,
+                )
+                .unwrap();
+            });
+        }
         let mut d = vec![-1i32; 8];
         let _ = FusedMxv::new(BoolOrAnd, &g, &f)
             .mask(&mask)

@@ -51,6 +51,7 @@ pub mod ops;
 pub mod ops_mxv;
 pub mod ops_mxv_batch;
 pub mod plan;
+mod pull;
 pub mod vector;
 pub mod vector_ops;
 

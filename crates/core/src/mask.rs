@@ -44,14 +44,15 @@ impl<'a> Mask<'a> {
     /// Attach a sorted list of exactly the allowed indices. The masked row
     /// kernel then iterates this list instead of scanning all `M` rows.
     ///
-    /// Correctness contract (debug-asserted on use): the list must be
-    /// **strictly ascending** — so in particular duplicate-free — and
-    /// every listed index must satisfy [`Mask::allows`]. Uniqueness is
-    /// load-bearing, not just tidiness: the row kernels (and the fused
-    /// pipeline's `assign_into`, which writes caller state) partition the
-    /// list across parallel workers and write each listed row's output
-    /// slot without synchronization, which is only race-free when no row
-    /// appears twice.
+    /// Correctness contract: the list must be **strictly ascending** — so
+    /// in particular duplicate-free — every listed index must be below
+    /// [`Mask::dim`], and every listed index must satisfy
+    /// [`Mask::allows`]. Uniqueness and range are load-bearing, not just
+    /// tidiness: every pull (unfused, batched, and the fused pipeline's
+    /// `assign_into`, which writes caller state) partitions the list across
+    /// parallel workers and writes each listed row's output slot without
+    /// synchronization, so the pull driver asserts both on every use (the
+    /// `allows` agreement is debug-asserted).
     #[must_use]
     pub fn with_active_list(mut self, list: &'a [VertexId]) -> Self {
         self.active_list = Some(list);

@@ -18,6 +18,7 @@ use crate::descriptor::{Descriptor, Direction, DirectionChoice, MergeStrategy};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
+use crate::pull::{pull_dense, Reduce};
 use crate::vector::{DenseVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, ShardGrid, ShardPlan, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
@@ -43,7 +44,8 @@ pub(crate) const MAX_SPAS: usize = 16;
 
 /// Row-based matvec without a mask: `w(i) = ⊕_j op(i,j) ⊗ v(j)` for every
 /// row. Touches every stored entry regardless of input sparsity — the
-/// `O(dM)` row of Table 1.
+/// `O(dM)` row of Table 1. A hypersparse store scans only its non-empty
+/// rows (the DCSR win) with identical counter totals.
 pub fn row_mxv<A, X, Y, S, M>(
     s: S,
     op: &M,
@@ -57,42 +59,13 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    assert_eq!(op.n_cols(), v.dim(), "operand columns must match input dim");
-    let add = s.add_monoid();
-    let identity = add.identity();
-    if !crate::exec::charge_alloc(counters, output_bytes::<Y>(op.n_rows())) {
-        return DenseVector::from_values(Vec::new(), identity);
-    }
-    let mut vals = vec![identity; op.n_rows()];
-    if let Some(rows) = op.nonempty_rows() {
-        // Hypersparse store: scan only the non-empty rows — the DCSR win.
-        // Empty rows contribute the ⊕ identity (already the fill) and
-        // their per-row bookkeeping (`reduce_row` charges `examined + 1`
-        // vector touches, i.e. exactly 1 for an empty row) is charged in
-        // bulk, so totals equal the full-scan CSR run bit-for-bit.
-        if let Some(c) = counters {
-            c.add_vector((op.n_rows() - rows.len()) as u64);
-        }
-        let out = SendPtr(vals.as_mut_ptr());
-        rows.par_iter().with_min_len(ROW_GRAIN).for_each(|&i| {
-            let y = reduce_row(s, op, v, i as usize, identity, false, counters);
-            // SAFETY: non-empty row ids are unique, so writes are disjoint.
-            unsafe { *out.get().add(i as usize) = y };
-        });
-    } else {
-        // Row-range chunking with direct per-chunk output slices: each
-        // worker writes its rows straight into the dense output, no
-        // reassembly copy.
-        pool::par_fill_with(&mut vals, ROW_GRAIN, |i| {
-            reduce_row(s, op, v, i, identity, false, counters)
-        });
-    }
-    DenseVector::from_values(vals, identity)
+    pull_one(s, op, v, None, SCALAR, counters)
 }
 
 /// Row-based **masked** matvec — Algorithm 2. Only rows the mask allows are
-/// computed; with `early_exit`, a row's reduction stops at the monoid's
-/// annihilator (the short-circuit OR of line 8). `O(d·nnz(m))`.
+/// computed (the listed rows when the mask carries an active list, the
+/// §3.2 amortized path); with `early_exit`, a row's reduction stops at the
+/// monoid's annihilator (the short-circuit OR of line 8). `O(d·nnz(m))`.
 pub fn row_masked_mxv<A, X, Y, S, M>(
     s: S,
     op: &M,
@@ -108,122 +81,29 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    assert_eq!(op.n_cols(), v.dim(), "operand columns must match input dim");
-    assert_eq!(op.n_rows(), mask.dim(), "mask must cover output dim");
-    let add = s.add_monoid();
-    let identity = add.identity();
-    if !crate::exec::charge_alloc(counters, output_bytes::<Y>(op.n_rows())) {
-        return DenseVector::from_values(Vec::new(), identity);
-    }
-
-    if let Some(active) = mask.active_list() {
-        // O(nnz(m)) row iteration: only the listed rows are touched. This
-        // is the amortized-SPA path of §3.2.
-        if let Some(c) = counters {
-            c.add_mask(active.len() as u64);
-        }
-        let mut vals = vec![identity; op.n_rows()];
-        let out = SendPtr(vals.as_mut_ptr());
-        active.par_iter().with_min_len(ROW_GRAIN).for_each(|&i| {
-            debug_assert!(mask.allows(i as usize), "active list disagrees with mask");
-            let y = reduce_row(s, op, v, i as usize, identity, early_exit, counters);
-            // SAFETY: active-list entries are unique, so writes are disjoint.
-            unsafe { *out.get().add(i as usize) = y };
-        });
-        DenseVector::from_values(vals, identity)
-    } else {
-        // No active list: scan all rows but skip masked-out ones before
-        // touching the matrix (mask reads cost O(M), matrix cost O(d·nnz(m))).
-        if let Some(c) = counters {
-            c.add_mask(op.n_rows() as u64);
-        }
-        let mut vals = vec![identity; op.n_rows()];
-        pool::par_fill_with(&mut vals, ROW_GRAIN, |i| {
-            if mask.allows(i) {
-                reduce_row(s, op, v, i, identity, early_exit, counters)
-            } else {
-                identity
-            }
-        });
-        DenseVector::from_values(vals, identity)
-    }
+    let how = Reduce {
+        early_exit,
+        ..SCALAR
+    };
+    pull_one(s, op, v, Some(mask), how, counters)
 }
 
-/// Reduce one operand row against a dense input vector. Shared with the
-/// batched row kernel, so per-row work and counter bookkeeping are
-/// identical between single-source and batched pulls.
-#[inline]
-pub(crate) fn reduce_row<A, X, Y, S, M>(
-    s: S,
-    op: &M,
-    v: &DenseVector<X>,
-    i: usize,
-    identity: Y,
-    early_exit: bool,
-    counters: Option<&AccessCounters>,
-) -> Y
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    // Per-row checkpoint: rows are the row kernels' size-derived work
-    // units, so a tripped limit stops the sweep within one row's work.
-    // The bail value is the ⊕ identity — cheap, and never observed because
-    // the dispatcher converts the sticky trip into an error.
-    if !crate::exec::live(counters) {
-        return identity;
-    }
-    let add = s.add_monoid();
-    let annihilator = add.annihilator();
-    let cols = op.row(i);
-    let avals = op.row_values(i);
-    let mut acc = identity;
-    let mut examined = 0u64;
-    for (idx, &j) in cols.iter().enumerate() {
-        examined += 1;
-        if v.is_explicit(j as usize) {
-            acc = add.op(acc, s.mult(avals[idx], v.get(j as usize)));
-            if early_exit && annihilator == Some(acc) {
-                break;
-            }
-        }
-    }
-    if let Some(c) = counters {
-        c.add_matrix(examined);
-        c.add_vector(examined + 1);
-    }
-    acc
-}
+/// The descriptor-less scalar reduction of the public row kernels.
+const SCALAR: Reduce<'static> = Reduce {
+    desc: None,
+    early_exit: false,
+    first_hit: false,
+};
 
-/// Tile-streaming row kernel: the 2D-sharded pull face.
-///
-/// Instead of reducing each row start to finish (touching a full-width
-/// window of the input vector per row), each [`ROW_GRAIN`]-derived row
-/// chunk walks the plan's **column stripes in ascending order**, advancing
-/// every live row of the chunk through the stripe's slice of its adjacency
-/// list before moving to the next stripe — so the chunk's input-vector
-/// working set at any moment is one stripe wide (the cache block), while
-/// each row still consumes its sorted neighbors in exactly the order the
-/// untiled [`reduce_row`] would. Accumulators, examined counts, and the
-/// early-exit stop point are therefore bit-identical per row; the traffic
-/// is charged in bulk per chunk from the same per-row totals.
-///
-/// Returns `None` (caller falls back to the untiled kernels) for the work
-/// extents tiling cannot stream: an active-listed mask and hypersparse
-/// row lists both scatter the rows, defeating the stripe-at-a-time reuse
-/// the partition exists for.
-fn pull_tiled<A, X, Y, S, M>(
+/// A single-source dense pull: the `k = 1` batch of [`pull_dense`].
+fn pull_one<A, X, Y, S, M>(
     s: S,
     op: &M,
     v: &DenseVector<X>,
     mask: Option<&Mask<'_>>,
-    plan: &ShardPlan,
-    early_exit: bool,
+    how: Reduce<'_>,
     counters: Option<&AccessCounters>,
-) -> Option<DenseVector<Y>>
+) -> DenseVector<Y>
 where
     A: Scalar,
     X: Scalar,
@@ -231,96 +111,9 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    if op.nonempty_rows().is_some() || mask.is_some_and(|m| m.active_list().is_some()) {
-        return None;
-    }
-    assert_eq!(op.n_cols(), v.dim(), "operand columns must match input dim");
-    let identity = s.add_monoid().identity();
-    let n = op.n_rows();
-    if !crate::exec::charge_alloc(counters, output_bytes::<Y>(n)) {
-        return Some(DenseVector::from_values(Vec::new(), identity));
-    }
-    if let (Some(c), Some(m)) = (counters, mask) {
-        // Same bulk mask charge as the untiled no-list arm.
-        debug_assert_eq!(m.dim(), n, "mask must cover output dim");
-        c.add_mask(n as u64);
-    }
-    // Early exit is a masked-pull optimization, as in the untiled dispatch.
-    let early_exit = mask.is_some() && early_exit;
-    let mut vals = vec![identity; n];
-    let out = SendPtr(vals.as_mut_ptr());
-    let n_stripes = plan.n_col_stripes();
-    pool::index_chunks(n, ROW_GRAIN)
-        .into_par_iter()
-        .for_each(|rows| {
-            // Per-chunk checkpoint, the tiled analogue of the per-row poll in
-            // `reduce_row`: a tripped limit leaves identity-shaped rows the
-            // dispatcher discards by converting the trip into an error.
-            if !crate::exec::live(counters) {
-                return;
-            }
-            let add = s.add_monoid();
-            let annihilator = add.annihilator();
-            let width = rows.len();
-            let base = rows.start;
-            let mut acc = vec![identity; width];
-            let mut pos = vec![0usize; width];
-            let mut examined = vec![0u64; width];
-            let mut done = vec![false; width];
-            if let Some(m) = mask {
-                for (k, d) in done.iter_mut().enumerate() {
-                    // Disallowed rows are never scanned and never charged,
-                    // exactly as the untiled masked kernel skips them; `done`
-                    // with zero examined keeps them out of the bulk charge's
-                    // per-row `+1` below via the `allowed` recheck.
-                    *d = !m.allows(base + k);
-                }
-            }
-            for st in 0..n_stripes {
-                let hi = plan.col_range(st).end as u32;
-                for k in 0..width {
-                    if done[k] {
-                        continue;
-                    }
-                    let i = base + k;
-                    let cols = op.row(i);
-                    let avals = op.row_values(i);
-                    let mut p = pos[k];
-                    while p < cols.len() && cols[p] < hi {
-                        let j = cols[p] as usize;
-                        examined[k] += 1;
-                        if v.is_explicit(j) {
-                            acc[k] = add.op(acc[k], s.mult(avals[p], v.get(j)));
-                            if early_exit && annihilator == Some(acc[k]) {
-                                done[k] = true;
-                                p += 1;
-                                break;
-                            }
-                        }
-                        p += 1;
-                    }
-                    pos[k] = p;
-                }
-            }
-            let mut matrix = 0u64;
-            let mut vector = 0u64;
-            for k in 0..width {
-                let i = base + k;
-                if mask.is_some_and(|m| !m.allows(i)) {
-                    continue;
-                }
-                // Same per-row bookkeeping as `reduce_row`, summed per chunk.
-                matrix += examined[k];
-                vector += examined[k] + 1;
-                // SAFETY: chunks partition 0..n, so writes are disjoint.
-                unsafe { *out.get().add(i) = acc[k] };
-            }
-            if let Some(c) = counters {
-                c.add_matrix(matrix);
-                c.add_vector(vector);
-            }
-        });
-    Some(DenseVector::from_values(vals, identity))
+    let masks = mask.map(std::slice::from_ref);
+    let mut out = pull_dense(s, op, &[v], masks, how, counters, None);
+    out.pop().expect("one output per source")
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +122,7 @@ where
 
 /// Column-based matvec without a mask: gathers the operand columns selected
 /// by the sparse input's nonzeros and resolves collisions by multiway merge
-/// (radix sort + segmented reduce, Algorithm 3, or a heap merge when the
+/// (radix sort + segmented reduce, Algorithm 3, or per-worker SPAs when the
 /// descriptor asks). `O(d·nnz(f)·log nnz(f))`.
 ///
 /// `op_t` must be the *transpose* of the logical operand: its rows are the
@@ -404,8 +197,8 @@ where
 /// bookkeeping is identical either way.
 ///
 /// `shard` routes the [`MergeStrategy::SpaMerge`] arm through the
-/// cache-blocked stripe kernel ([`spa_merge_kernel_sharded`]); the other
-/// merge strategies ignore it (their collision resolution is global by
+/// cache-blocked stripe kernel ([`spa_merge_kernel_sharded`]); the
+/// sort-based arm ignores it (its collision resolution is global by
 /// construction), so per-strategy equivalence is unaffected.
 pub(crate) fn col_kernel_parts<A, X, Y, S, M>(
     s: S,
@@ -484,21 +277,6 @@ where
             Some(parts) => parts,
             None => sort_based(counters),
         },
-        // Gunrock-style local culling (§7.3): the same claim pass, charged
-        // as what it is — one vector and one matrix touch per product, no
-        // sort. Requires every product to be the same constant; falls back
-        // to the sort-based merge otherwise.
-        MergeStrategy::BitmaskCull => match s.product_hint() {
-            Some(hint) => {
-                if let Some(c) = counters {
-                    let total = expanded_len(op_t, v) as u64;
-                    c.add_vector(total);
-                    c.add_matrix(total);
-                }
-                claim_unique(op_t, v, hint)
-            }
-            None => sort_based(counters),
-        },
         MergeStrategy::SpaMerge => {
             if v.nnz() == 0 {
                 (Vec::new(), Vec::new())
@@ -507,34 +285,6 @@ where
             } else {
                 spa_merge_kernel(s, op_t, v, counters)
             }
-        }
-        MergeStrategy::HeapMerge => {
-            // Materialize each selected column as a sorted (row, product)
-            // list and heap-merge the k lists — the eager column-major
-            // formulation SuiteSparse-era CPU backends used before
-            // sort-based merges; kept as the ablation baseline. (The paper
-            // itself never heap-merges: its §3.1 column kernel already
-            // batches the expansion for the sort of Algorithm 3.)
-            let lists: Vec<Vec<(u32, Y)>> = v
-                .ids()
-                .iter()
-                .zip(v.vals().iter())
-                .map(|(&k, &x)| {
-                    let cols = op_t.row(k as usize);
-                    let avals = op_t.row_values(k as usize);
-                    if let Some(c) = counters {
-                        c.add_matrix(cols.len() as u64);
-                        c.add_sort((cols.len() as f64 * (v.nnz().max(2) as f64).log2()) as u64);
-                    }
-                    cols.iter()
-                        .zip(avals.iter())
-                        .map(|(&j, &a)| (j, s.mult(a, x)))
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&[(u32, Y)]> = lists.iter().map(Vec::as_slice).collect();
-            let merged = merge::multiway_merge_reduce(&refs, |a, b| add.op(a, b));
-            merged.into_iter().unzip()
         }
     };
 
@@ -1239,16 +989,6 @@ where
             Direction::Pull => c.add_pull_step(),
         }
     }
-    // Resolve the shard dimension of the plan against the store side the
-    // chosen face iterates rows of (push reads the transpose-of-operand).
-    let shard_plan = plan.shard.map(|grid| {
-        shard_plan_for(
-            graph,
-            crate::plan::operand_side(desc.transpose, plan.direction),
-            grid,
-        )
-    });
-    let shard = shard_plan.as_deref();
     match plan.direction {
         Direction::Push => {
             let sparse_input;
@@ -1259,6 +999,13 @@ where
                     &sparse_input
                 }
             };
+            // The shard dimension of the plan (push only) partitions the
+            // store side the column kernel iterates rows of: the
+            // transpose-of-operand.
+            let shard_plan = plan
+                .shard
+                .map(|grid| shard_plan_for(graph, !desc.transpose, grid));
+            let shard = shard_plan.as_deref();
             let out =
                 match crate::exec::store_budgeted(graph, !desc.transpose, plan.format, counters) {
                     StoreRef::Csr(m) => push_face(s, m, sv, mask, desc, shard, counters),
@@ -1282,9 +1029,9 @@ where
             };
             let out =
                 match crate::exec::store_budgeted(graph, desc.transpose, plan.format, counters) {
-                    StoreRef::Csr(m) => pull_face(s, m, dv, mask, desc, shard, counters),
-                    StoreRef::Bitmap(m) => pull_face(s, m, dv, mask, desc, shard, counters),
-                    StoreRef::Dcsr(m) => pull_face(s, m, dv, mask, desc, shard, counters),
+                    StoreRef::Csr(m) => pull_face(s, m, dv, mask, desc, counters),
+                    StoreRef::Bitmap(m) => pull_face(s, m, dv, mask, desc, counters),
+                    StoreRef::Dcsr(m) => pull_face(s, m, dv, mask, desc, counters),
                 };
             // Post-kernel poll: see the push arm.
             crate::exec::check_stop(counters)?;
@@ -1315,22 +1062,17 @@ where
     col_kernel(s, op_t, sv, mask, desc, shard, counters)
 }
 
-/// The pull face for one concrete store: masked or unmasked row kernel,
-/// with the bit-parallel arm slotted in front. When the planned store has
-/// a word surface and the call qualifies (see `bitops::bit_pull_ctx`), the
-/// row reduction runs 64 edges per AND; values and the projected counters
-/// are the scalar kernel's bit for bit. A shard plan (when the resolved
-/// [`crate::plan::ExecPlan`] carries one and the bit arm declined) selects
-/// the tile-streaming traversal of [`pull_tiled`], which itself declines
-/// work extents it cannot stream — declining always lands on the untiled
-/// kernels, never changes results.
+/// The pull face for one concrete store: the dense sink of the one pull
+/// driver ([`crate::pull`]), which picks the bit-parallel reducer when the
+/// planned store has a word surface and the call qualifies (see
+/// `bitops::bit_pull_ctx`) — values and the projected counters are the
+/// scalar kernel's bit for bit either way.
 fn pull_face<A, X, Y, S, M>(
     s: S,
     op: &M,
     dv: &DenseVector<X>,
     mask: Option<&Mask<'_>>,
     desc: &Descriptor,
-    shard: Option<&ShardPlan>,
     counters: Option<&AccessCounters>,
 ) -> DenseVector<Y>
 where
@@ -1340,126 +1082,12 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    if let Some(ctx) = crate::bitops::bit_pull_ctx(s, op, dv, desc, counters) {
-        let identity = s.add_monoid().identity();
-        return match mask {
-            Some(m) => row_masked_mxv_bit(op, &ctx, m, identity, desc.early_exit, counters),
-            None => row_mxv_bit(op, &ctx, identity, counters),
-        };
-    }
-    if let Some(plan) = shard {
-        if let Some(out) = pull_tiled(s, op, dv, mask, plan, desc.early_exit, counters) {
-            return out;
-        }
-    }
-    match mask {
-        Some(m) => row_masked_mxv(s, op, dv, m, desc.early_exit, counters),
-        None => row_mxv(s, op, dv, counters),
-    }
-}
-
-/// Bit twin of [`row_mxv`]: same structure (hypersparse row list when the
-/// store tracks one, row-range chunking otherwise), with the per-row
-/// reduction running word-wise.
-fn row_mxv_bit<A, Y, M>(
-    op: &M,
-    ctx: &crate::bitops::BitPull<Y>,
-    identity: Y,
-    counters: Option<&AccessCounters>,
-) -> DenseVector<Y>
-where
-    A: Scalar,
-    Y: Scalar,
-    M: RowAccess<A>,
-{
-    if !crate::exec::charge_alloc(counters, output_bytes::<Y>(op.n_rows())) {
-        return DenseVector::from_values(Vec::new(), identity);
-    }
-    let mut vals = vec![identity; op.n_rows()];
-    if let Some(rows) = op.nonempty_rows() {
-        if let Some(c) = counters {
-            c.add_vector((op.n_rows() - rows.len()) as u64);
-        }
-        let out = SendPtr(vals.as_mut_ptr());
-        rows.par_iter().with_min_len(ROW_GRAIN).for_each(|&i| {
-            let y = crate::bitops::bit_reduce_row(op, ctx, i as usize, identity, false, counters);
-            // SAFETY: non-empty row ids are unique, so writes are disjoint.
-            unsafe { *out.get().add(i as usize) = y };
-        });
-    } else {
-        pool::par_fill_with(&mut vals, ROW_GRAIN, |i| {
-            crate::bitops::bit_reduce_row(op, ctx, i, identity, false, counters)
-        });
-    }
-    DenseVector::from_values(vals, identity)
-}
-
-/// Bit twin of [`row_masked_mxv`]. The active-list arm mirrors the scalar
-/// kernel row for row; the no-list arm adds the *unvisited index*: one
-/// level of summary words over the (complement-adjusted) mask words lets a
-/// level-k BFS scan visit only 64-row groups that still contain allowed
-/// rows. The scalar kernel charges `mask(M)` in bulk and does no matrix
-/// work on disallowed rows, so skipping them wholesale is charged
-/// identically — the skip shows up only in `bit_word_ops`.
-fn row_masked_mxv_bit<A, Y, M>(
-    op: &M,
-    ctx: &crate::bitops::BitPull<Y>,
-    mask: &Mask<'_>,
-    identity: Y,
-    early_exit: bool,
-    counters: Option<&AccessCounters>,
-) -> DenseVector<Y>
-where
-    A: Scalar,
-    Y: Scalar,
-    M: RowAccess<A>,
-{
-    assert_eq!(op.n_rows(), mask.dim(), "mask must cover output dim");
-    if !crate::exec::charge_alloc(counters, output_bytes::<Y>(op.n_rows())) {
-        return DenseVector::from_values(Vec::new(), identity);
-    }
-    if let Some(active) = mask.active_list() {
-        if let Some(c) = counters {
-            c.add_mask(active.len() as u64);
-        }
-        let mut vals = vec![identity; op.n_rows()];
-        let out = SendPtr(vals.as_mut_ptr());
-        active.par_iter().with_min_len(ROW_GRAIN).for_each(|&i| {
-            debug_assert!(mask.allows(i as usize), "active list disagrees with mask");
-            let y =
-                crate::bitops::bit_reduce_row(op, ctx, i as usize, identity, early_exit, counters);
-            // SAFETY: active-list entries are unique, so writes are disjoint.
-            unsafe { *out.get().add(i as usize) = y };
-        });
-        DenseVector::from_values(vals, identity)
-    } else {
-        if let Some(c) = counters {
-            c.add_mask(op.n_rows() as u64);
-        }
-        let idx = crate::bitops::UnvisitedIndex::build(mask, counters);
-        let mut vals = vec![identity; op.n_rows()];
-        let out = SendPtr(vals.as_mut_ptr());
-        let groups = idx.live_groups();
-        // One group = 64 output rows; keep the scalar kernel's grain in
-        // row units so chunk shapes stay lane-count independent.
-        groups
-            .par_iter()
-            .with_min_len((ROW_GRAIN / 64).max(1))
-            .for_each(|&g| {
-                let mut bits = idx.allowed_word(g);
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let i = g * 64 + b;
-                    let y =
-                        crate::bitops::bit_reduce_row(op, ctx, i, identity, early_exit, counters);
-                    // SAFETY: each row belongs to exactly one group and each
-                    // group to one worker, so writes are disjoint.
-                    unsafe { *out.get().add(i) = y };
-                }
-            });
-        DenseVector::from_values(vals, identity)
-    }
+    let how = Reduce {
+        desc: Some(desc),
+        early_exit: desc.early_exit,
+        first_hit: false,
+    };
+    pull_one(s, op, dv, mask, how, counters)
 }
 
 /// GrB_mxv with an accumulator: `w = w accum (op(A) · v)` — the `+=` form
@@ -1675,37 +1303,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_merge_matches_sort_based() {
-        let g = fig3_graph();
-        let f = frontier_bcd();
-        let sorted: Vector<bool> = mxv(
-            None,
-            BoolOrAnd,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .merge_strategy(MergeStrategy::SortBased),
-            None,
-        )
-        .unwrap();
-        let heaped: Vector<bool> = mxv(
-            None,
-            BoolOrAnd,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .merge_strategy(MergeStrategy::HeapMerge),
-            None,
-        )
-        .unwrap();
-        let a: Vec<_> = sorted.iter_explicit().collect();
-        let b: Vec<_> = heaped.iter_explicit().collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn spa_merge_matches_sort_based() {
         let g = fig3_graph();
         let f = frontier_bcd();
@@ -1793,75 +1390,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.nnz(), 0);
-    }
-
-    #[test]
-    fn bitmask_cull_matches_sort_based() {
-        let g = fig3_graph();
-        let f = frontier_bcd();
-        let visited = visited_abcd();
-        let mask = Mask::complement(&visited);
-        // With a product hint (BoolStructure), culling is exact.
-        let sorted: Vector<bool> = mxv(
-            Some(&mask),
-            crate::ops::BoolStructure,
-            &g,
-            &f,
-            &desc_bfs().force(Direction::Push),
-            None,
-        )
-        .unwrap();
-        let culled: Vector<bool> = mxv(
-            Some(&mask),
-            crate::ops::BoolStructure,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .merge_strategy(MergeStrategy::BitmaskCull),
-            None,
-        )
-        .unwrap();
-        let a: Vec<_> = sorted.iter_explicit().collect();
-        let b: Vec<_> = culled.iter_explicit().collect();
-        assert_eq!(a, b);
-        // Without a hint (BoolOrAnd under structure_only=false) the kernel
-        // silently falls back to the sort path and stays correct.
-        let fallback: Vector<bool> = mxv(
-            Some(&mask),
-            BoolOrAnd,
-            &g,
-            &f,
-            &desc_bfs()
-                .force(Direction::Push)
-                .structure_only(false)
-                .merge_strategy(MergeStrategy::BitmaskCull),
-            None,
-        )
-        .unwrap();
-        let c: Vec<_> = fallback.iter_explicit().collect();
-        assert_eq!(a, c);
-    }
-
-    #[test]
-    fn bitmask_cull_avoids_sort_traffic() {
-        let g = fig3_graph();
-        let f = frontier_bcd();
-        let count_sort = |strategy: MergeStrategy| {
-            let c = AccessCounters::new();
-            let _: Vector<bool> = mxv(
-                None,
-                crate::ops::BoolStructure,
-                &g,
-                &f,
-                &desc_bfs().force(Direction::Push).merge_strategy(strategy),
-                Some(&c),
-            )
-            .unwrap();
-            c.snapshot().sort
-        };
-        assert!(count_sort(MergeStrategy::SortBased) > 0);
-        assert_eq!(count_sort(MergeStrategy::BitmaskCull), 0);
     }
 
     #[test]
@@ -2299,44 +1827,5 @@ mod tests {
             1,
             "only the populated stripe merges"
         );
-    }
-
-    #[test]
-    fn tiled_pull_matches_untiled_oracle() {
-        // f64 semiring keeps the bit arm out of the way, so the shard plan
-        // selects the tile-streaming row kernel. Masked (no active list)
-        // and unmasked, values and counters must match the untiled run.
-        let g = lcg_graph(65, 6, 0xFEED);
-        let mut f = lcg_frontier(65, 40, 11);
-        f.make_dense();
-        let visited = {
-            let mut b = BitVec::new(65);
-            for i in (0..65).step_by(3) {
-                b.set(i);
-            }
-            b
-        };
-        let mask = Mask::complement(&visited);
-        let base = Descriptor::new().force(Direction::Pull);
-        for masked in [false, true] {
-            let m = masked.then_some(&mask);
-            let oracle_c = AccessCounters::new();
-            let oracle: Vector<f64> = mxv(m, PlusTimes, &g, &f, &base, Some(&oracle_c)).unwrap();
-            for (rs, cs) in [(1u32, 1u32), (2, 4), (4, 4)] {
-                let c = AccessCounters::new();
-                let desc = base.shard_grid(ShardGrid::new(rs, cs));
-                let out: Vector<f64> = mxv(m, PlusTimes, &g, &f, &desc, Some(&c)).unwrap();
-                assert_eq!(
-                    out.iter_explicit().collect::<Vec<_>>(),
-                    oracle.iter_explicit().collect::<Vec<_>>(),
-                    "tiled pull values (masked={masked}, grid {rs}x{cs})"
-                );
-                assert_eq!(
-                    scrub_telemetry(c.snapshot()),
-                    scrub_telemetry(oracle_c.snapshot()),
-                    "tiled pull counters (masked={masked}, grid {rs}x{cs})"
-                );
-            }
-        }
     }
 }

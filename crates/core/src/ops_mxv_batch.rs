@@ -11,10 +11,12 @@
 //! row* (from a per-source [`DirectionPolicy`], or from each row's storage,
 //! or forced by the descriptor), then runs
 //!
-//! * [`row_masked_mxv_batch`] — the pull face: every pull row's
-//!   (active-listed) output rows flattened into one `(source, chunk)`
-//!   grid ([`pool::grid_chunks`]) the worker pool drains by index
-//!   stealing, so lanes stay busy even when one source's frontier is tiny;
+//! * [`row_masked_mxv_batch`] — the pull face, the dense sink of the one
+//!   pull driver: every pull row's output rows flattened into one
+//!   `(source, chunk)` grid
+//!   ([`grid_chunks`](graphblas_primitives::pool::grid_chunks)) the worker
+//!   pool drains by index stealing, so lanes stay busy even when one
+//!   source's frontier is tiny;
 //! * [`col_masked_mxv_batch`] — the push face: every push row's frontier
 //!   cut into expansion-balanced SPA chunks (the same boundaries as the
 //!   single-source [`crate::MergeStrategy::SpaMerge`] kernel), all chunks drained
@@ -35,13 +37,13 @@ use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::ops_mxv::{
-    expansion_offsets, filter_col_output, reduce_row, spa_chunk_ranges, spa_harvest_chunk,
-    spa_merge_parts, DirectionPolicy, SendPtr, ROW_GRAIN,
+    expansion_offsets, filter_col_output, spa_chunk_ranges, spa_harvest_chunk, spa_merge_parts,
+    DirectionPolicy,
 };
+use crate::pull::{pull_dense, Reduce};
 use crate::vector::{DenseVector, MultiVector, SparseVector, Vector};
 use graphblas_matrix::{Graph, RowAccess, ShardPlan, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::pool;
 use rayon::prelude::*;
 
 /// Batched row-based (pull) masked matvec: one dense input and one mask
@@ -49,7 +51,8 @@ use rayon::prelude::*;
 ///
 /// Per-source semantics and counter bookkeeping are identical to
 /// [`crate::ops_mxv::row_masked_mxv`] (with an active list when the mask
-/// carries one) / [`crate::ops_mxv::row_mxv`] (when `masks` is `None`).
+/// carries one) / [`crate::ops_mxv::row_mxv`] (when `masks` is `None`) —
+/// all three are the dense sink of the one pull driver.
 pub fn row_masked_mxv_batch<A, X, Y, S, M>(
     s: S,
     op: &M,
@@ -66,9 +69,13 @@ where
     M: RowAccess<A>,
 {
     // The public entry has no descriptor, so it cannot opt into the
-    // bit-parallel arm; `mxv_batch` passes its descriptor through the
-    // inner variant below.
-    row_masked_mxv_batch_impl(s, op, vs, masks, early_exit, None, counters, None)
+    // bit-parallel reducer; `mxv_batch` passes its descriptor through.
+    let how = Reduce {
+        desc: None,
+        early_exit,
+        first_hit: false,
+    };
+    pull_dense(s, op, vs, masks, how, counters, None)
 }
 
 /// Resolve the counters row `j` of an attributed batch charges: its own
@@ -83,174 +90,6 @@ fn row_charge<'a>(
         Some(rc) => Some(rc[j]),
         None => counters,
     }
-}
-
-/// [`row_masked_mxv_batch`] with the dispatcher's descriptor, so batched
-/// pulls share the single-source bit-parallel arm. The bit gating is
-/// source-independent (store + semiring + descriptor), so either every
-/// source gets a packed context or the whole batch runs scalar.
-///
-/// When `row_counters` is present (one per source), each source's
-/// row-scoped charges — output-buffer allocation, mask/vector traffic, and
-/// every `reduce_row` — land on that source's counters instead of the
-/// shared set, and each source's chunks poll *its* checkpoints, so one
-/// source's tripped limit stops only its own rows.
-#[allow(clippy::too_many_arguments)]
-fn row_masked_mxv_batch_impl<A, X, Y, S, M>(
-    s: S,
-    op: &M,
-    vs: &[&DenseVector<X>],
-    masks: Option<&[Mask<'_>]>,
-    early_exit: bool,
-    desc: Option<&Descriptor>,
-    counters: Option<&AccessCounters>,
-    row_counters: Option<&[&AccessCounters]>,
-) -> Vec<DenseVector<Y>>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    if let Some(ms) = masks {
-        assert_eq!(ms.len(), vs.len(), "one mask per batch row");
-        for m in ms {
-            assert_eq!(m.dim(), op.n_rows(), "mask must cover output dim");
-        }
-    }
-    for v in vs {
-        assert_eq!(op.n_cols(), v.dim(), "operand columns must match input dim");
-    }
-    if let Some(rc) = row_counters {
-        assert_eq!(rc.len(), vs.len(), "one counter set per batch row");
-    }
-    let add = s.add_monoid();
-    let identity = add.identity();
-    let n = op.n_rows();
-    // Caller-thread charge for the batch's dense output buffers; the
-    // per-row checkpoints below stop the sweep itself. Attributed batches
-    // charge each source for its own buffer (same aggregate bytes): a
-    // denied row trips only its own counters and its chunks then bail
-    // with identity results while siblings proceed.
-    match row_counters {
-        None => {
-            if !crate::exec::charge_alloc(counters, crate::ops_mxv::output_bytes::<Y>(vs.len() * n))
-            {
-                return vs
-                    .iter()
-                    .map(|_| DenseVector::from_values(Vec::new(), identity))
-                    .collect();
-            }
-        }
-        Some(rc) => {
-            for c in rc {
-                let _ = c.try_charge_alloc(crate::ops_mxv::output_bytes::<Y>(n));
-            }
-        }
-    }
-
-    // Per-source work extents: the mask's active list when present (the
-    // §3.2 amortized unvisited list); otherwise all rows — or, on a
-    // hypersparse store with no masks, just the non-empty rows, with the
-    // skipped empty rows' bookkeeping (`examined + 1` = 1 vector touch
-    // each in `reduce_row`) charged in bulk so counter totals stay
-    // bit-identical to the full-scan CSR run.
-    let hyper_rows = if masks.is_none() {
-        op.nonempty_rows()
-    } else {
-        None
-    };
-    let lens: Vec<usize> = match masks {
-        Some(ms) => ms
-            .iter()
-            .map(|m| m.active_list().map_or(n, <[u32]>::len))
-            .collect(),
-        None => vec![hyper_rows.map_or(n, <[u32]>::len); vs.len()],
-    };
-    if masks.is_some() {
-        for (j, &len) in lens.iter().enumerate() {
-            if let Some(c) = row_charge(counters, row_counters, j) {
-                c.add_mask(len as u64);
-            }
-        }
-    }
-    if let Some(rows) = hyper_rows {
-        for j in 0..vs.len() {
-            if let Some(c) = row_charge(counters, row_counters, j) {
-                c.add_vector((n - rows.len()) as u64);
-            }
-        }
-    }
-
-    // Per-source bit contexts: one packed word image per source vector
-    // (each charging its own `bit_word_ops`), all-or-nothing since the
-    // qualification test doesn't depend on the source.
-    let ctxs: Option<Vec<crate::bitops::BitPull<Y>>> = desc.and_then(|d| {
-        let mut cs = Vec::with_capacity(vs.len());
-        for (j, v) in vs.iter().enumerate() {
-            cs.push(crate::bitops::bit_pull_ctx(
-                s,
-                op,
-                v,
-                d,
-                row_charge(counters, row_counters, j),
-            )?);
-        }
-        if cs.is_empty() {
-            None
-        } else {
-            Some(cs)
-        }
-    });
-
-    let mut outs: Vec<Vec<Y>> = vs.iter().map(|_| vec![identity; n]).collect();
-    let ptrs: Vec<SendPtr<Y>> = outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())).collect();
-
-    let grid = pool::grid_chunks(&lens, ROW_GRAIN);
-    grid.into_par_iter().for_each(|(j, range)| {
-        let v = vs[j];
-        let mask = masks.map(|ms| &ms[j]);
-        for idx in range {
-            // Resolve the output row this grid index names.
-            let (i, allowed) = match mask {
-                Some(m) => match m.active_list() {
-                    Some(active) => {
-                        let i = active[idx] as usize;
-                        debug_assert!(m.allows(i), "active list disagrees with mask");
-                        (i, true)
-                    }
-                    None => {
-                        // The hypersparse skip is unmasked-only: with a
-                        // mask present it would bypass `m.allows`.
-                        debug_assert!(hyper_rows.is_none(), "skip is gated on masks.is_none()");
-                        (idx, m.allows(idx))
-                    }
-                },
-                None => match hyper_rows {
-                    Some(rows) => (rows[idx] as usize, true),
-                    None => (idx, true),
-                },
-            };
-            if allowed {
-                let c = row_charge(counters, row_counters, j);
-                let y = match &ctxs {
-                    Some(cs) => {
-                        crate::bitops::bit_reduce_row(op, &cs[j], i, identity, early_exit, c)
-                    }
-                    None => reduce_row(s, op, v, i, identity, early_exit, c),
-                };
-                // SAFETY: within a source, grid indices (and the unique
-                // active-list or non-empty rows they map to) are disjoint;
-                // across sources the output buffers are distinct.
-                unsafe { *ptrs[j].get().add(i) = y };
-            }
-        }
-    });
-
-    outs.into_iter()
-        .map(|vals| DenseVector::from_values(vals, identity))
-        .collect()
 }
 
 /// Batched column-based (push) masked matvec: one sparse frontier and
@@ -690,38 +529,20 @@ where
             masks.map(|ms| pull_rows.iter().map(|&r| ms[r]).collect());
         let sub_rc: Option<Vec<&AccessCounters>> =
             row_counters.map(|rc| pull_rows.iter().map(|&r| rc[r]).collect());
-        let early_exit = masks.is_some() && desc.early_exit;
+        // When `row_counters` is present, each source's row-scoped charges
+        // — output buffer, mask/vector traffic, bit packing, every row
+        // reduction — land on its own counters, and its rows poll *its*
+        // checkpoints, so one source's tripped limit stops only its rows.
+        let how = Reduce {
+            desc: Some(desc),
+            early_exit: desc.early_exit,
+            first_hit: false,
+        };
+        let (ms, rc) = (sub_masks.as_deref(), sub_rc.as_deref());
         let outs = match crate::exec::store_budgeted(graph, desc.transpose, format, counters) {
-            StoreRef::Csr(m) => row_masked_mxv_batch_impl(
-                s,
-                m,
-                &dvs,
-                sub_masks.as_deref(),
-                early_exit,
-                Some(desc),
-                counters,
-                sub_rc.as_deref(),
-            ),
-            StoreRef::Bitmap(m) => row_masked_mxv_batch_impl(
-                s,
-                m,
-                &dvs,
-                sub_masks.as_deref(),
-                early_exit,
-                Some(desc),
-                counters,
-                sub_rc.as_deref(),
-            ),
-            StoreRef::Dcsr(m) => row_masked_mxv_batch_impl(
-                s,
-                m,
-                &dvs,
-                sub_masks.as_deref(),
-                early_exit,
-                Some(desc),
-                counters,
-                sub_rc.as_deref(),
-            ),
+            StoreRef::Csr(m) => pull_dense(s, m, &dvs, ms, how, counters, rc),
+            StoreRef::Bitmap(m) => pull_dense(s, m, &dvs, ms, how, counters, rc),
+            StoreRef::Dcsr(m) => pull_dense(s, m, &dvs, ms, how, counters, rc),
         };
         for (&r, dv) in pull_rows.iter().zip(outs) {
             out_rows[r] = Some(Vector::Dense(dv));

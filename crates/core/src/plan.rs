@@ -219,7 +219,8 @@ pub fn resolve_plan<A: Scalar, X: Scalar>(
 }
 
 /// The shard half of [`resolve_plan`]: the grid the chosen face should
-/// block its work by, or `None` for the unsharded oracle path.
+/// block its work by, or `None` for the unsharded oracle path. Only the
+/// push face shards; pull always resolves to `None`.
 ///
 /// `Fixed` grids always engage (normalized per dimension — a requested
 /// `1×1` still runs the sharded code path over a single stripe, which is
@@ -234,6 +235,9 @@ pub fn resolve_shards<A: Scalar>(
     direction: Direction,
     desc: &Descriptor,
 ) -> Option<ShardGrid> {
+    if direction == Direction::Pull {
+        return None;
+    }
     match desc.shards {
         ShardPolicy::Off => None,
         ShardPolicy::Fixed(g) => Some(ShardGrid::new(g.row_stripes, g.col_stripes)),

@@ -10,12 +10,17 @@ use push_pull::algo::bfs_parents::{bfs_parents_with_opts, ParentBfsOpts};
 use push_pull::algo::cc::{connected_components_with_opts, CcOpts};
 use push_pull::algo::pagerank::{pagerank_with_counters, PageRankOpts};
 use push_pull::algo::sssp::{sssp_with_counters, SsspOpts};
-use push_pull::core::Direction;
+use push_pull::core::ops::BoolStructure;
+use push_pull::core::{
+    mxv, mxv_batch, mxv_batch_attributed, Descriptor, Direction, FusedMxv, Mask, MultiVector,
+    Vector,
+};
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::gen::suite::dataset;
 use push_pull::gen::with_uniform_weights;
-use push_pull::matrix::{Coo, Graph};
+use push_pull::matrix::{Coo, Graph, StorageFormat};
 use push_pull::primitives::counters::{AccessCounters, CounterSnapshot};
+use push_pull::primitives::BitVec;
 
 const LANES: [usize; 3] = [1, 2, 8];
 
@@ -176,6 +181,170 @@ proptest! {
         prop_assert_eq!(fused.iters, unfused.iters);
         prop_assert_eq!(fused.row_updates, unfused.row_updates);
         prop_assert_eq!(accesses(&cf), accesses(&cu));
+    }
+}
+
+/// How a [`pull_sinks_agree`] case masks its pull.
+#[derive(Clone, Copy, Debug)]
+enum MaskMode {
+    /// Complement of the visited set with the unvisited ids attached.
+    ActiveList,
+    /// Complement of the visited set, no list.
+    Complement,
+    /// No mask at all.
+    Unmasked,
+}
+
+/// Everything one sink observes of a pull: the per-row values it
+/// produced or assigned, the rows it assigned, and its counters.
+type SinkRun = (Vec<i32>, Vec<u32>, CounterSnapshot);
+
+/// One masked BFS-style pull step through all three sinks of the pull
+/// driver: unfused `mxv` + apply/assign loop, `FusedMxv`, and `mxv_batch`
+/// at k = 1 (shared counters) and k = 3 (the source repeated, attributed
+/// per row). Returns the unfused run and asserts the others against it.
+fn pull_through_every_sink(
+    g: &Graph<bool>,
+    f: &Vector<bool>,
+    visited: &BitVec,
+    unvisited: &[u32],
+    mode: MaskMode,
+    keep_identity: bool,
+    desc: &Descriptor,
+) -> SinkRun {
+    let n = g.n_vertices();
+    let mask = match mode {
+        MaskMode::ActiveList => Some(Mask::complement(visited).with_active_list(unvisited)),
+        MaskMode::Complement => Some(Mask::complement(visited)),
+        MaskMode::Unmasked => None,
+    };
+    let label = format!("{mode:?} keep_identity={keep_identity} {:?}", desc.format);
+    // Unfused: dense product, then apply + assign over explicit entries
+    // (or over every allowed row for a keep-identity consumer).
+    let unfused = {
+        let c = AccessCounters::new();
+        let w: Vector<bool> = mxv(mask.as_ref(), BoolStructure, g, f, desc, Some(&c)).unwrap();
+        let mut state = vec![-1i32; n];
+        let mut touched = Vec::new();
+        for (i, slot) in state.iter_mut().enumerate() {
+            let y = w.get(i as u32);
+            if (keep_identity && mask.is_none_or(|m| m.allows(i))) || y {
+                *slot = i32::from(y);
+                touched.push(i as u32);
+            }
+        }
+        (state, touched, c.snapshot())
+    };
+    let fused = {
+        let c = AccessCounters::new();
+        let mut state = vec![-1i32; n];
+        let mut pipe = FusedMxv::new(BoolStructure, g, f)
+            .descriptor(*desc)
+            .counters(Some(&c))
+            .keep_identity(keep_identity);
+        if let Some(m) = mask.as_ref() {
+            pipe = pipe.mask(m);
+        }
+        let out = pipe
+            .apply(i32::from)
+            .assign_into(&mut state, |_, z| Some(z))
+            .unwrap();
+        let mut snap = c.snapshot();
+        assert_eq!(snap.fused_saved_writes, n as u64, "{label}: saved writes");
+        snap.fused_saved_writes = 0;
+        (state, out.touched, snap)
+    };
+    assert_eq!(fused, unfused, "fused sink ≠ unfused sink ({label})");
+    // The batch sink's explicit entries are the unfused product's.
+    let explicit = |v: &Vector<bool>| v.iter_explicit().map(|(i, _)| i).collect::<Vec<_>>();
+    let expect = {
+        let w: Vector<bool> = mxv(mask.as_ref(), BoolStructure, g, f, desc, None).unwrap();
+        explicit(&w)
+    };
+    let c = AccessCounters::new();
+    let masks1: Option<Vec<Mask<'_>>> = mask.map(|m| vec![m]);
+    let one = MultiVector::from_rows(vec![f.clone()]);
+    let out: MultiVector<bool> = mxv_batch(
+        masks1.as_deref(),
+        BoolStructure,
+        g,
+        &one,
+        desc,
+        None,
+        Some(&c),
+    )
+    .unwrap();
+    assert_eq!(explicit(out.row(0)), expect, "k=1 batch values ({label})");
+    assert_eq!(c.snapshot(), unfused.2, "k=1 batch counters ({label})");
+    let rows: Vec<AccessCounters> = (0..3).map(|_| AccessCounters::new()).collect();
+    let row_refs: Vec<&AccessCounters> = rows.iter().collect();
+    let masks3: Option<Vec<Mask<'_>>> = mask.map(|m| vec![m; 3]);
+    let three = MultiVector::from_rows(vec![f.clone(), f.clone(), f.clone()]);
+    let out: MultiVector<bool> = mxv_batch_attributed(
+        masks3.as_deref(),
+        BoolStructure,
+        g,
+        &three,
+        desc,
+        None,
+        None,
+        Some(&row_refs),
+    )
+    .unwrap();
+    for (r, rc) in rows.iter().enumerate() {
+        assert_eq!(explicit(out.row(r)), expect, "k=3 row {r} values ({label})");
+        assert_eq!(rc.snapshot(), unfused.2, "k=3 row {r} counters ({label})");
+    }
+    unfused
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One pull, three sinks: unfused `mxv`, `FusedMxv` and `mxv_batch`
+    /// (k = 1 and k = 3) agree on values, assigned rows and the full
+    /// counter snapshot — `bit_word_ops` included, `fused_saved_writes`
+    /// aside — under every extent (active list, complement mask without a
+    /// list, no mask, keep-identity) on CSR, Bitmap and hypersparse DCSR
+    /// stores, at 1 and 4 lanes.
+    #[test]
+    fn pull_sinks_agree(
+        g in arb_directed(150, 300),
+        f_ids in prop::collection::vec(0usize..150, 0..40),
+        visited_ids in prop::collection::vec(0usize..150, 0..150),
+        early_exit in any::<bool>(),
+    ) {
+        let n = g.n_vertices();
+        let mut visited = BitVec::new(n);
+        for &i in f_ids.iter().filter(|&&i| i < n) {
+            visited.set(i);
+        }
+        let ids: Vec<u32> = (0..n as u32).filter(|&i| visited.get(i as usize)).collect();
+        let mut f = Vector::from_sparse(n, false, ids.clone(), vec![true; ids.len()]);
+        f.make_dense();
+        for &i in visited_ids.iter().filter(|&&i| i < n) {
+            visited.set(i);
+        }
+        let unvisited: Vec<u32> = (0..n as u32).filter(|&i| !visited.get(i as usize)).collect();
+        for format in [StorageFormat::Csr, StorageFormat::Bitmap, StorageFormat::Dcsr] {
+            let desc = Descriptor::new()
+                .transpose(true)
+                .force(Direction::Pull)
+                .force_format(format)
+                .early_exit(early_exit);
+            for mode in [MaskMode::ActiveList, MaskMode::Complement, MaskMode::Unmasked] {
+                for keep_identity in [false, true] {
+                    let runs = [1, 4].map(|lanes| {
+                        rayon::with_num_threads(lanes, || {
+                            pull_through_every_sink(
+                                &g, &f, &visited, &unvisited, mode, keep_identity, &desc,
+                            )
+                        })
+                    });
+                    prop_assert_eq!(&runs[0], &runs[1], "{:?} {:?} at 1 vs 4 lanes", format, mode);
+                }
+            }
+        }
     }
 }
 

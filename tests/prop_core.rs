@@ -65,8 +65,6 @@ proptest! {
         structure_only in any::<bool>(),
         strategy in prop::sample::select(vec![
             MergeStrategy::SortBased,
-            MergeStrategy::HeapMerge,
-            MergeStrategy::BitmaskCull,
             MergeStrategy::SpaMerge,
         ]),
         early_exit in any::<bool>(),
@@ -115,8 +113,6 @@ proptest! {
         transpose in any::<bool>(),
         strategy in prop::sample::select(vec![
             MergeStrategy::SortBased,
-            MergeStrategy::HeapMerge,
-            MergeStrategy::BitmaskCull,
             MergeStrategy::SpaMerge,
         ]),
     ) {
@@ -798,7 +794,7 @@ proptest! {
     /// On sparse random graphs (many empty rows), with a random frontier
     /// whose id list repeats an entry, a frontier of isolated vertices
     /// only, or a frontier covering every vertex: the claim arm's output
-    /// equals the heap- and SPA-merge arms and the neighbour-union oracle,
+    /// equals the SPA-merge arm and the neighbour-union oracle,
     /// its charges are exactly `matrix = Σdeg`, `sort = Σdeg·passes`,
     /// `mask = |unique|`, at 1 and 4 lanes; a bytes budget one byte short
     /// of the key buffer aborts typed with the counters rolled back.
@@ -861,7 +857,7 @@ proptest! {
             let (claimed, others, snap, denied, admitted) = rayon::with_num_threads(lanes, || {
                 let c = AccessCounters::new();
                 let claimed = run(MergeStrategy::SortBased, Some(&c)).unwrap();
-                let others = [MergeStrategy::HeapMerge, MergeStrategy::SpaMerge]
+                let others = [MergeStrategy::SpaMerge]
                     .map(|other| run(other, None).unwrap());
                 // The key-buffer charge is the arm's only allocation: one
                 // byte short denies it (pre-existing tallies must survive
@@ -880,7 +876,7 @@ proptest! {
             });
             prop_assert_eq!(&claimed, &oracle, "oracle at {} lanes", lanes);
             for other in &others {
-                prop_assert_eq!(other, &claimed, "heap/SPA merge at {} lanes", lanes);
+                prop_assert_eq!(other, &claimed, "SPA merge at {} lanes", lanes);
             }
             prop_assert_eq!(snap.matrix, sum_deg, "matrix at {} lanes", lanes);
             prop_assert_eq!(
