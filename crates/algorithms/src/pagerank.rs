@@ -3,16 +3,20 @@
 //! for a particular node" the output sparsity is known a priori).
 //!
 //! Standard power iteration runs a dense row-based matvec per step
-//! (`O(nnz(A))`). Adaptive PageRank (Kamvar, Haveliwala & Golub 2004)
-//! freezes vertices whose value has converged; the set of *non-converged*
-//! vertices is exactly an output-sparsity mask, so each iteration runs the
-//! masked row kernel at `O(d·nnz(m))` — the same Table 1 asymptotics that
-//! make pull-BFS fast, transplanted to a numeric algorithm.
+//! (`O(nnz(A))`): `PLUS_SECOND` over the pattern of `Aᵀ` — the graph's
+//! cached transpose, in whatever format BFS already built for it — applied
+//! to `r ⊘ outdeg` (LAGraph's `LAGr_PageRank` formulation), so no
+//! per-call transition matrix exists. Adaptive PageRank (Kamvar,
+//! Haveliwala & Golub 2004) freezes vertices whose value has converged;
+//! the set of *non-converged* vertices is exactly an output-sparsity mask,
+//! so each iteration runs the masked row kernel at `O(d·nnz(m))` — the
+//! same Table 1 asymptotics that make pull-BFS fast, transplanted to a
+//! numeric algorithm.
 
 use graphblas_core::descriptor::{Descriptor, Direction};
 use graphblas_core::mask::Mask;
 use graphblas_core::mxv;
-use graphblas_core::ops::PlusTimes;
+use graphblas_core::ops::PlusSecond;
 use graphblas_core::vector::{DenseVector, Vector};
 use graphblas_core::{run_guarded, ExecLimits, FormatPolicy, FusedMxv, GrbResult};
 use graphblas_matrix::{Csr, Graph, VertexId};
@@ -74,6 +78,11 @@ pub struct PageRankResult {
 /// Build the column-stochastic transition structure: entry (u, v) of `A`
 /// holds `1/outdeg(u)`, so row `v` of `Aᵀ` gathers `r(u)/outdeg(u)` from
 /// each in-neighbor `u`.
+///
+/// This is the reference formulation tests compare against, not the
+/// execution path: PageRank runs `PLUS_SECOND` over the Boolean graph's
+/// own transpose with the input scaled to `r ⊘ outdeg`, which sums the
+/// same products in the same order without building this matrix.
 #[must_use]
 pub fn transition_matrix(g: &Graph<bool>) -> Graph<f64> {
     let a = g.csr();
@@ -134,10 +143,21 @@ fn pagerank_loop(
     counters: Option<&AccessCounters>,
 ) -> GrbResult<PageRankResult> {
     let n = g.n_vertices();
-    assert!(n > 0, "empty graph");
-    let t = transition_matrix(g);
+    if n == 0 {
+        return Ok(PageRankResult {
+            ranks: Vec::new(),
+            iters: 0,
+            row_updates: 0,
+        });
+    }
     let a = g.csr();
     let teleport = (1.0 - opts.damping) / n as f64;
+    // `r ⊘ outdeg` replaces the transition matrix's stored `1/outdeg(u)`:
+    // PLUS_SECOND over the pattern of Aᵀ then sums exactly the products
+    // `(1/deg)·r` that PLUS_TIMES over the transition matrix sums, in the
+    // same column order, so ranks and counters are unchanged.
+    let inv_deg: Vec<f64> = (0..n).map(|u| 1.0 / a.degree(u).max(1) as f64).collect();
+    let dangling_ids: Vec<usize> = (0..n).filter(|&u| a.degree(u) == 0).collect();
 
     let mut ranks = vec![1.0 / n as f64; n];
     let mut active = BitVec::new(n);
@@ -152,15 +172,12 @@ fn pagerank_loop(
 
     while iters < opts.max_iters {
         iters += 1;
-        let desc = base_desc.force_format(fpol.update(&t, true, Direction::Pull, counters));
+        let desc = base_desc.force_format(fpol.update(g, true, Direction::Pull, counters));
         // Dangling mass: vertices with no out-edges leak rank; spread it.
-        let dangling: f64 = (0..n)
-            .filter(|&u| a.degree(u) == 0)
-            .map(|u| ranks[u])
-            .sum::<f64>()
-            / n as f64;
+        let dangling: f64 = dangling_ids.iter().map(|&u| ranks[u]).sum::<f64>() / n as f64;
 
-        let r_vec = Vector::Dense(DenseVector::from_values(ranks.clone(), 0.0));
+        let x: Vec<f64> = inv_deg.iter().zip(&ranks).map(|(d, r)| d * r).collect();
+        let x = Vector::Dense(DenseVector::from_values(x, 0.0));
         let mut l1 = 0.0f64;
         let mut next = ranks.clone();
         if opts.fused {
@@ -177,7 +194,7 @@ fn pagerank_loop(
             if adaptive {
                 let mask = Mask::new(&active).with_active_list(&active_list);
                 row_updates += active_list.len();
-                FusedMxv::new(PlusTimes, &t, &r_vec)
+                FusedMxv::new(PlusSecond, g, &x)
                     .mask(&mask)
                     .descriptor(desc)
                     .counters(counters)
@@ -187,7 +204,7 @@ fn pagerank_loop(
                     .assign_into(&mut next, |_, z| Some(z))
             } else {
                 row_updates += n;
-                FusedMxv::new(PlusTimes, &t, &r_vec)
+                FusedMxv::new(PlusSecond, g, &x)
                     .descriptor(desc)
                     .counters(counters)
                     .keep_identity(true)
@@ -210,10 +227,10 @@ fn pagerank_loop(
             let contrib: Vector<f64> = if adaptive {
                 let mask = Mask::new(&active).with_active_list(&active_list);
                 row_updates += active_list.len();
-                mxv(Some(&mask), PlusTimes, &t, &r_vec, &desc, counters)?
+                mxv(Some(&mask), PlusSecond, g, &x, &desc, counters)?
             } else {
                 row_updates += n;
-                mxv(None, PlusTimes, &t, &r_vec, &desc, counters)?
+                mxv(None, PlusSecond, g, &x, &desc, counters)?
             };
 
             let update = |i: usize, next: &mut Vec<f64>, l1: &mut f64| {

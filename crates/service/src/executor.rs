@@ -55,11 +55,14 @@ pub struct ExecOpts {
     pub bc: BcOpts,
 }
 
-/// Execute one admitted batch. Coalescible kinds run as one entries
-/// batch per kind; a request whose coalesced group hit a worker-chunk
-/// panic is de-coalesced and retried solo once (transient chunk faults
-/// don't condemn innocent passengers); its retry failure is returned
-/// typed. `shared` receives the batch-scoped charges (format planning,
+/// Execute one admitted batch. A request naming a source vertex outside
+/// the graph is answered with [`GrbError::IndexOutOfBounds`] before
+/// grouping and never runs, so its siblings execute exactly as in the
+/// batch without it. Coalescible kinds run as one entries batch per kind;
+/// a request whose coalesced group hit a worker-chunk panic is
+/// de-coalesced and retried solo once (transient chunk faults don't
+/// condemn innocent passengers); its retry failure is returned typed.
+/// `shared` receives the batch-scoped charges (format planning,
 /// conversions) plus the fold of all per-request work.
 pub fn execute_batch(
     graphs: &ServiceGraphs,
@@ -69,7 +72,11 @@ pub fn execute_batch(
 ) -> Vec<Response> {
     let k = batch.len();
     let counters: Vec<AccessCounters> = (0..k).map(|_| AccessCounters::new()).collect();
-    let mut results: Vec<Option<GrbResult<QueryOutput>>> = (0..k).map(|_| None).collect();
+    let n = graphs.n_vertices();
+    let mut results: Vec<Option<GrbResult<QueryOutput>>> = batch
+        .iter()
+        .map(|req| validate(&req.query, n).err().map(Err))
+        .collect();
     let mut group_sizes = vec![1usize; k];
     let mut retried = vec![false; k];
 
@@ -80,7 +87,9 @@ pub fn execute_batch(
         QueryKind::PageRank,
         QueryKind::Bc,
     ] {
-        let idxs: Vec<usize> = (0..k).filter(|&i| batch[i].query.kind() == kind).collect();
+        let idxs: Vec<usize> = (0..k)
+            .filter(|&i| results[i].is_none() && batch[i].query.kind() == kind)
+            .collect();
         if idxs.is_empty() {
             continue;
         }
@@ -166,6 +175,24 @@ pub fn execute_batch(
             retried_solo: retried[i],
         })
         .collect()
+}
+
+/// Reject a query whose source vertex is not below `n`.
+fn validate(q: &Query, n: usize) -> GrbResult<()> {
+    let sources = match q {
+        Query::Bfs { source } | Query::Parents { source } | Query::Sssp { source } => {
+            std::slice::from_ref(source)
+        }
+        Query::PageRank => &[],
+        Query::Bc { sources } => sources.as_slice(),
+    };
+    match sources.iter().find(|&&s| s as usize >= n) {
+        Some(&s) => Err(GrbError::IndexOutOfBounds {
+            index: s as usize,
+            dim: n,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Source vertex of a coalescible query.

@@ -7,7 +7,7 @@ use push_pull::algo::cc::{
     cc_oracle, connected_components, connected_components_with_opts, CcOpts,
 };
 use push_pull::algo::msbfs::{multi_source_bfs, multi_source_bfs_with_opts, MsBfsOpts, UNREACHED};
-use push_pull::algo::pagerank::{pagerank, PageRankOpts};
+use push_pull::algo::pagerank::{pagerank, try_pagerank_with_counters, PageRankOpts};
 use push_pull::algo::sssp::{sssp, SsspOpts};
 use push_pull::algo::tricount::triangle_count;
 use push_pull::baselines::textbook::bfs_serial;
@@ -687,4 +687,25 @@ fn fused_state_slice_dimension_mismatch_is_an_error() {
         .apply(|_: bool| 1i32)
         .assign_into(&mut short, |_, z| Some(z));
     assert!(matches!(r, Err(GrbError::DimensionMismatch { .. })));
+}
+
+#[test]
+fn pagerank_on_zero_and_one_vertex_graphs() {
+    // n = 0 has nothing to rank: an empty result, not a panic. n = 1 is
+    // all dangling mass, which teleport + damping return in full.
+    for adaptive in [false, true] {
+        for fused in [false, true] {
+            let opts = PageRankOpts {
+                fused,
+                ..PageRankOpts::default()
+            };
+            let empty = try_pagerank_with_counters(&edgeless(0), &opts, adaptive, None)
+                .expect("n = 0 is a valid graph");
+            assert!(empty.ranks.is_empty());
+            assert_eq!(empty.iters, 0);
+            let one = try_pagerank_with_counters(&edgeless(1), &opts, adaptive, None)
+                .expect("n = 1 is a valid graph");
+            assert_eq!(one.ranks, vec![1.0]);
+        }
+    }
 }

@@ -6,10 +6,11 @@
 
 use proptest::prelude::*;
 use push_pull::core::descriptor::ShardPolicy;
-use push_pull::core::ShardGrid;
+use push_pull::core::{GrbError, ShardGrid};
 use push_pull::gen::erdos::erdos_renyi;
 use push_pull::gen::powerlaw::{chung_lu, PowerLawParams};
 use push_pull::gen::with_uniform_weights;
+use push_pull::primitives::counters::CounterSnapshot;
 use push_pull::service::{execute_batch, ExecOpts, Query, Request, ServiceGraphs};
 
 const LANES: [usize; 3] = [1, 2, 8];
@@ -208,4 +209,77 @@ fn sharded_coalesced_batch_matches_unsharded_solo() {
             });
         }
     }
+}
+
+/// A request naming a vertex outside the graph is answered with a typed
+/// `IndexOutOfBounds` and never runs: every sibling's values and bill are
+/// those of the same batch without the bad requests.
+#[test]
+fn out_of_range_requests_get_typed_errors_and_leave_siblings_unchanged() {
+    let gs = service_graphs(1, 42);
+    let opts = ExecOpts::default();
+    let nv = N as u32;
+    let valid = [
+        Query::Bfs { source: 0 },
+        Query::Bfs { source: 101 },
+        Query::Parents { source: 7 },
+        Query::Parents { source: 451 },
+        Query::Sssp { source: 3 },
+        Query::Sssp { source: 509 },
+        Query::PageRank,
+        Query::Bc {
+            sources: vec![5, 80],
+        },
+    ];
+    let bad = [
+        (Query::Bfs { source: nv }, nv),
+        (Query::Parents { source: nv + 9 }, nv + 9),
+        (Query::Sssp { source: u32::MAX }, u32::MAX),
+        (
+            Query::Bc {
+                sources: vec![5, nv + 1, nv],
+            },
+            nv + 1,
+        ),
+    ];
+    let clean: Vec<Request> = valid
+        .iter()
+        .enumerate()
+        .map(|(i, q)| Request::new(i as u64, q.clone()))
+        .collect();
+    // Interleave: each bad request lands between two valid ones.
+    let mut mixed = Vec::new();
+    for (i, q) in valid.iter().enumerate() {
+        mixed.push(Request::new(i as u64, q.clone()));
+        if let Some((b, _)) = bad.get(i / 2).filter(|_| i % 2 == 0) {
+            mixed.push(Request::new(100 + i as u64, b.clone()));
+        }
+    }
+    assert_eq!(mixed.len(), valid.len() + bad.len());
+
+    let want = execute_batch(&gs, &opts, &clean, None);
+    let got = execute_batch(&gs, &opts, &mixed, None);
+    let mut bad_seen = 0;
+    for r in &got {
+        if r.id >= 100 {
+            let (_, index) = &bad[bad_seen];
+            bad_seen += 1;
+            assert_eq!(
+                r.result,
+                Err(GrbError::IndexOutOfBounds {
+                    index: *index as usize,
+                    dim: N
+                }),
+                "request {}",
+                r.id
+            );
+            assert_eq!(r.counters, CounterSnapshot::default());
+        } else {
+            let w = &want[r.id as usize];
+            assert_eq!(r.result, w.result, "request {} values", r.id);
+            assert_eq!(r.counters, w.counters, "request {} counters", r.id);
+            assert_eq!(r.group_size, w.group_size, "request {} group", r.id);
+        }
+    }
+    assert_eq!(bad_seen, bad.len());
 }

@@ -266,8 +266,10 @@ fn access_counters_identical_across_thread_counts() {
 
 #[test]
 fn pagerank_uses_plus_times_and_stays_deterministic() {
-    // Guard against a future "optimization" racing the f64 ⊕ = + reduce:
-    // dense pull PageRank exercises PlusTimes through the row kernel.
+    // Guard against a future "optimization" racing the f64 ⊕ = + reduce
+    // of a dense PlusTimes pull over the transition matrix — PageRank's
+    // reference formulation, which the library's PlusSecond pull over the
+    // Boolean graph must equal bit for bit (tests/prop_algorithms.rs).
     let g = test_graph();
     let t = push_pull::algo::pagerank::transition_matrix(&g);
     let n = g.n_vertices();
