@@ -990,6 +990,7 @@ fn bitfrontier(cfg: &Config) {
         &[
             "Dataset",
             "word ops",
+            "push word ops",
             "scalar exam",
             "ratio",
             "degrades",
@@ -1011,6 +1012,7 @@ fn bitfrontier(cfg: &Config) {
         t.row(vec![
             name.to_string(),
             s.bit_word_ops.to_string(),
+            s.push_bit_word_ops.to_string(),
             s.scalar_edge_examinations.to_string(),
             s.word_ratio.map_or_else(|| "n/a".to_string(), f),
             s.bitmap_degrades.to_string(),
@@ -1025,6 +1027,7 @@ fn bitfrontier(cfg: &Config) {
             ("vertices", Json::Int(graph.n_vertices() as u64)),
             ("edges", Json::Int(graph.n_edges() as u64)),
             ("bit_word_ops", Json::Int(s.bit_word_ops)),
+            ("push_bit_word_ops", Json::Int(s.push_bit_word_ops)),
             (
                 "scalar_edge_examinations",
                 Json::Int(s.scalar_edge_examinations),
@@ -1065,9 +1068,11 @@ fn bitfrontier(cfg: &Config) {
          claim, and model/best ≤ 1.10 is the cost-model acceptance bound."
     );
     let _ = t.write_csv(&cfg.out, "bitfrontier_study");
+    let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
     let doc = Json::Obj(vec![
         ("shrink", Json::Int(u64::from(cfg.shrink))),
         ("seed", Json::Int(cfg.seed)),
+        ("machine_parallelism", Json::Int(machine as u64)),
         ("datasets", Json::Arr(dataset_objs)),
     ]);
     match doc.write_file(&cfg.out, "BENCH_bitfrontier.json") {

@@ -612,6 +612,9 @@ pub struct BitFrontierSample {
     /// u64 word operations the bit kernels charged across one counted
     /// pull-only BFS over the bitmap store.
     pub bit_word_ops: u64,
+    /// u64 word operations the bit push merge charged across one counted
+    /// push-only BFS over the bitmap store (0 when the bitmap degraded).
+    pub push_bit_word_ops: u64,
     /// Per-edge examinations (matrix accesses) the scalar oracle charged on
     /// the identical run — the denominator of the ≥8× word-parallel claim.
     pub scalar_edge_examinations: u64,
@@ -651,8 +654,9 @@ pub struct BitFrontierSample {
 
 /// The bit-parallel kernel study: one pull-only BFS over the bitmap store
 /// with the bit kernels on and off (equivalence-gated: depths and projected
-/// charges must match exactly before anything is timed), one push-only pair
-/// the same way, and the measured cost model's charged accesses against
+/// charges must match exactly, and only the bit arm may charge word ops,
+/// before anything is timed), one push-only pair over the bitmap store the
+/// same way, and the measured cost model's charged accesses against
 /// both fixed directions. The word-ratio headline belongs to a dense
 /// "bitmap regime" graph — on sparse suite graphs the bitmap either
 /// degrades (recorded) or scans mostly-empty words (ratio reported
@@ -668,7 +672,14 @@ pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitFront
             .format(FormatPolicy::fixed(StorageFormat::Bitmap))
             .bit_kernels(bit)
     };
-    let push_opts = |bit: bool| BfsOpts::default().forced(Direction::Push).bit_kernels(bit);
+    // Push serves from the bitmap too: Auto keeps push on CSR, which has
+    // no row words, so both push arms would time the same claim merge.
+    let push_opts = |bit: bool| {
+        BfsOpts::default()
+            .forced(Direction::Push)
+            .format(FormatPolicy::fixed(StorageFormat::Bitmap))
+            .bit_kernels(bit)
+    };
 
     let count = |opts: &BfsOpts| {
         let c = AccessCounters::new();
@@ -676,15 +687,30 @@ pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitFront
         (r.depths, c.snapshot())
     };
 
-    // Equivalence gate before timing: the bit arm must reproduce the scalar
-    // arm's depths and projected access charges exactly.
-    let (bit_depths, bit_snap) = count(&pull_opts(true));
-    let (scalar_depths, scalar_snap) = count(&pull_opts(false));
-    assert_eq!(bit_depths, scalar_depths, "bit pull must match scalar pull");
-    assert_eq!(
-        bit_snap.accesses_only(),
-        scalar_snap.accesses_only(),
-        "bit pull must charge identical projected accesses"
+    // Equivalence gate before timing, per direction: the bit arm must
+    // reproduce the scalar arm's depths and projected access charges
+    // exactly, and only the bit arm may run word kernels.
+    let gate = |arm: &str, opts: &dyn Fn(bool) -> BfsOpts| {
+        let (bit_depths, bit_snap) = count(&opts(true));
+        let (scalar_depths, scalar_snap) = count(&opts(false));
+        assert_eq!(
+            bit_depths, scalar_depths,
+            "bit {arm} must match scalar {arm}"
+        );
+        assert_eq!(
+            bit_snap.accesses_only(),
+            scalar_snap.accesses_only(),
+            "bit {arm} must charge identical projected accesses"
+        );
+        assert_eq!(scalar_snap.bit_word_ops, 0, "scalar {arm} ran word kernels");
+        (bit_depths, bit_snap, scalar_snap)
+    };
+    let (scalar_depths, bit_snap, scalar_snap) = gate("pull", &pull_opts);
+    let (push_depths, bit_push_snap, _) = gate("push", &push_opts);
+    assert_eq!(push_depths, scalar_depths, "push reaches the pull depths");
+    assert!(
+        bit_push_snap.bit_word_ops > 0 || bit_push_snap.bitmap_degrades > 0,
+        "bit push never ran its word merge over a feasible bitmap"
     );
 
     let time_median = |opts: &BfsOpts| -> f64 {
@@ -712,6 +738,7 @@ pub fn bitfrontier_study(g: &Graph<bool>, repeats: usize, seed: u64) -> BitFront
 
     BitFrontierSample {
         bit_word_ops: bit_snap.bit_word_ops,
+        push_bit_word_ops: bit_push_snap.bit_word_ops,
         scalar_edge_examinations: scalar_snap.matrix,
         bit_path_engaged: bit_snap.bit_word_ops > 0,
         word_ratio: (bit_snap.bit_word_ops > 0)
@@ -1021,6 +1048,7 @@ mod tests {
         assert_eq!(s.bitmap_degrades, 0, "bitmap must be feasible here");
         assert!(s.bit_word_ops > 0, "bit kernels must have engaged");
         assert!(s.bit_path_engaged, "engagement flag mirrors bit_word_ops");
+        assert!(s.push_bit_word_ops > 0, "bit push merge must have engaged");
         let ratio = s.word_ratio.expect("engaged path reports a ratio");
         assert!(
             ratio <= 0.125,

@@ -28,3 +28,44 @@ fn fig7_single_scale_free_dataset_reports_empty_mesh_bucket() {
         "the scale-free bucket holds soc-orkut:\n{stdout}"
     );
 }
+
+/// Run `paper <study> --shrink 10 --sources 2` into a fresh directory and
+/// assert a clean exit; returns the output directory.
+fn run_small(study: &str) -> std::path::PathBuf {
+    let out_dir =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("paper_cli_{study}"));
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args([study, "--shrink", "10", "--sources", "2", "--out"])
+        .arg(&out_dir)
+        .output()
+        .expect("spawn paper");
+    assert!(
+        out.status.success(),
+        "paper {study} failed: {}\n{}",
+        String::from_utf8_lossy(&out.stderr),
+        String::from_utf8_lossy(&out.stdout)
+    );
+    out_dir
+}
+
+/// Table 2's ladder runs the key-value sort merge (its structure-only-off
+/// row) and the structure-only merges.
+#[test]
+fn table2_small_run_exits_cleanly() {
+    run_small("table2");
+}
+
+/// The batched study drives the push driver's `(source, chunk)` SPA grid.
+#[test]
+fn batched_small_run_writes_its_artifact() {
+    let dir = run_small("batched");
+    assert!(dir.join("BENCH_batched.json").is_file());
+}
+
+/// The shards study drives the push driver's column-stripe merge.
+#[test]
+fn shards_small_run_writes_its_artifact() {
+    let dir = run_small("shards");
+    assert!(dir.join("BENCH_shards.json").is_file());
+}

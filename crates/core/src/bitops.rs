@@ -35,12 +35,11 @@
 //!   surface degrades gracefully rather than panicking;
 //! * `UnvisitedIndex` — one level of summary words over the
 //!   (complement-adjusted) mask words, so late-level pull scans skip
-//!   64-row regions that are already fully visited;
-//! * `bit_push_parts` — the push-face arm: OR each source row's word
-//!   span into per-chunk bitmaps (the SpaMerge chunk machinery) and merge
-//!   word-wise, replacing the expand/sort/dedup of the structure-only
-//!   column kernel (rows without a word surface scatter their columns
-//!   bit-by-bit instead).
+//!   64-row regions that are already fully visited.
+//!
+//! The push face's bit merge (OR each frontier row's word span into
+//! per-chunk word buffers, fold them word-wise) lives in the push driver,
+//! on the same chunk grid as its SPA merge.
 //!
 //! **The load-bearing invariant**: every function here charges the same
 //! `matrix`/`vector`/`mask`/`sort` access amounts the scalar kernel
@@ -54,11 +53,10 @@
 use crate::descriptor::Descriptor;
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::vector::{ConvertState, DenseVector, SparseVector, Vector};
+use crate::vector::{ConvertState, DenseVector, Vector};
 use graphblas_matrix::RowAccess;
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::{sort, BitVec};
-use rayon::prelude::*;
+use graphblas_primitives::BitVec;
 
 /// A frontier held as a dense bitmap with a cached popcount `nnz` — the
 /// boolean-semiring analogue of the sparse/dense [`Vector`] pair, sized
@@ -583,115 +581,6 @@ fn allowed_word(words: &[u64], complement: bool, tail_mask: u64, g: usize) -> u6
     }
 }
 
-/// The push-face bit arm: when the structure-only sort-based column kernel
-/// runs over a word-surfaced store, the expand → radix-sort → dedup chain
-/// is equivalent to OR-ing each source row's word span into an output
-/// bitmap and reading off the set bits. Returns the pre-filter `(ids,
-/// vals)` parts (the caller applies the usual mask/identity filter), or
-/// `None` when the call doesn't qualify.
-///
-/// Parallelism reuses the SpaMerge chunk machinery: the frontier is cut
-/// into expansion-balanced chunks (`spa_chunk_ranges`, boundaries derived
-/// from sizes only), each chunk ORs into a private word buffer, and the
-/// buffers fold word-wise in chunk order — bit-identical at any lane
-/// count because OR is commutative and the fold order is fixed.
-///
-/// Charges replicate the scalar structure-only sort path exactly: one
-/// `matrix` access per expanded edge and the same radix `sort` traffic
-/// (the work the bit path *actually* skips shows up as the gap between
-/// those charges and `bit_word_ops`).
-pub(crate) fn bit_push_parts<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    desc: &Descriptor,
-    counters: Option<&AccessCounters>,
-) -> Option<(Vec<u32>, Vec<Y>)>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A> + Sync,
-{
-    if !desc.bit_kernels || !desc.structure_only || !op_t.has_row_words() {
-        return None;
-    }
-    let hint = s.product_hint()?;
-    let (offsets, total) = crate::ops_mxv::expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        // Same bulk charges as the structure-only claim arm of the column
-        // kernel: the modeled expansion and key-only radix sort.
-        c.add_matrix(total as u64);
-        c.add_sort(total as u64 * sort::passes_for(op_t.n_rows().max(1) as u32 - 1) as u64);
-    }
-    let wpr = op_t.n_cols().div_ceil(64);
-    let ids_ref = v.ids();
-    let chunks: Vec<Vec<u64>> = crate::ops_mxv::spa_chunk_ranges(&offsets, total)
-        .into_par_iter()
-        .map(|(s0, s1)| {
-            let mut buf = vec![0u64; wpr];
-            // Per-chunk checkpoint: bail with an empty word image.
-            if !crate::exec::live(counters) {
-                return buf;
-            }
-            let mut word_ops = 0u64;
-            for &id in &ids_ref[s0..s1] {
-                let src = id as usize;
-                let cols = op_t.row(src);
-                if cols.is_empty() {
-                    continue;
-                }
-                let w0 = cols[0] as usize / 64;
-                let w1 = cols[cols.len() - 1] as usize / 64;
-                match op_t.row_word_span(src) {
-                    Some((start, rw)) => {
-                        // The row's stored columns all fall inside its tile
-                        // window, so `w0..=w1 ⊆ start..start+rw.len()`.
-                        for (slot, &r) in buf[w0..=w1].iter_mut().zip(&rw[w0 - start..]) {
-                            *slot |= r;
-                        }
-                        word_ops += (w1 - w0 + 1) as u64;
-                    }
-                    // No word surface for this row (gating and store state
-                    // disagree): scatter the columns bit-by-bit — the
-                    // scalar-equivalent fallback, no panic.
-                    None => {
-                        for &j in cols {
-                            buf[j as usize / 64] |= 1u64 << (j % 64);
-                        }
-                    }
-                }
-            }
-            if let Some(c) = counters {
-                c.add_bit_word_ops(word_ops);
-            }
-            buf
-        })
-        .collect();
-    let mut union = vec![0u64; wpr];
-    for part in &chunks {
-        for (u, &p) in union.iter_mut().zip(part.iter()) {
-            *u |= p;
-        }
-    }
-    if let Some(c) = counters {
-        // Word-wise chunk fold plus the output-extraction scan.
-        c.add_bit_word_ops((chunks.len() as u64 + 1) * wpr as u64);
-    }
-    let mut ids = Vec::new();
-    for (g, &w) in union.iter().enumerate() {
-        let mut bits = w;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            ids.push((g * 64 + b) as u32);
-        }
-    }
-    let vals = vec![hint; ids.len()];
-    Some((ids, vals))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -946,24 +835,38 @@ mod tests {
 
     #[test]
     fn bit_push_union_matches_scalar_expand_sort_dedup() {
+        use crate::push::{push, Merge, PushSource};
         let store = bitmap_3x70();
         // Frontier {0, 2}: neighbors {0, 63, 64} ∪ {1} = {0, 1, 63, 64}.
-        let v = SparseVector::from_sorted(vec![0, 2], vec![true, true]);
-        let c = AccessCounters::new();
-        let desc = Descriptor::new();
-        let (ids, vals): (Vec<u32>, Vec<bool>) =
-            bit_push_parts(BoolStructure, &store, &v, &desc, Some(&c)).expect("qualifies");
+        let v = crate::vector::SparseVector::from_sorted(vec![0, 2], vec![true, true]);
+        let run = |desc: &Descriptor| {
+            let c = AccessCounters::new();
+            let merge = Merge::choose(BoolStructure, &store, desc, None);
+            let is_bit = matches!(merge, Merge::Bit(true));
+            let src = [PushSource {
+                v: &v,
+                mask: None,
+                counters: Some(&c),
+            }];
+            let (ids, vals): (Vec<u32>, Vec<bool>) = push(BoolStructure, &store, &src, merge)
+                .pop()
+                .expect("one source");
+            assert!(vals.iter().all(|&b| b));
+            (is_bit, ids, c.snapshot())
+        };
+        let (is_bit, ids, s) = run(&Descriptor::new());
+        assert!(is_bit, "BoolStructure on a bitmap takes the bit merge");
         assert_eq!(ids, vec![0, 1, 63, 64]);
-        assert!(vals.iter().all(|&b| b));
-        let s = c.snapshot();
         assert_eq!(s.matrix, 4, "one charge per expanded edge");
         assert!(s.sort > 0, "scalar-equivalent sort traffic charged");
         assert!(s.bit_word_ops > 0);
 
-        // Without the descriptor opt-in the arm declines.
-        let off = Descriptor::new().bit_kernels(false);
-        assert!(
-            bit_push_parts::<_, _, bool, _, _>(BoolStructure, &store, &v, &off, None).is_none()
-        );
+        // Without the descriptor opt-in the claim merge runs instead: same
+        // output and access charges, no word telemetry.
+        let (is_bit, claim_ids, claim) = run(&Descriptor::new().bit_kernels(false));
+        assert!(!is_bit);
+        assert_eq!(claim_ids, ids);
+        assert_eq!((claim.matrix, claim.sort), (s.matrix, s.sort));
+        assert_eq!(claim.bit_word_ops, 0);
     }
 }

@@ -28,11 +28,10 @@
 //!   additionally stops at the *first* explicit input hit — parent-BFS's
 //!   per-row early exit, a win the unfused path cannot express because
 //!   `min`'s annihilator (vertex id 0) almost never occurs.
-//! * **Push** (column kernel): the expansion/merge of
-//!   [`col_mxv`](crate::col_mxv) runs unchanged (same
-//!   [`MergeStrategy`](crate::MergeStrategy), same counters), but the
-//!   merged harvest flows through apply + assign at filter time instead of
-//!   being materialized as a sparse vector.
+//! * **Push** (column kernel): the one push driver runs exactly as for
+//!   [`mxv`](crate::mxv) (same [`MergeStrategy`](crate::MergeStrategy),
+//!   same counters), and apply + assign consume its sorted `(ids, vals)`
+//!   parts directly — the sparse output vector is never built.
 //!
 //! Direction resolution, [`DirectionPolicy`](crate::DirectionPolicy)
 //! interplay, and the [`AccessCounters`] contract are unchanged: a fused
@@ -48,10 +47,11 @@ use crate::descriptor::{Descriptor, Direction};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::ops_mxv::{col_kernel_parts, SendPtr};
+use crate::ops_mxv::SendPtr;
 use crate::pull::{pull, PullSink, PullSource, Reduce};
-use crate::vector::{SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, StoreRef, VertexId};
+use crate::push::{push_face, PushSource};
+use crate::vector::Vector;
+use graphblas_matrix::{Graph, StoreRef, VertexId};
 use graphblas_primitives::counters::AccessCounters;
 use std::marker::PhantomData;
 
@@ -294,6 +294,7 @@ where
         // Same planner as `mxv`: direction by the §6.3 storage rule,
         // storage format by the shape rule (or the descriptor's forces).
         let plan = crate::plan::resolve_plan(base.graph, base.input, &base.desc);
+        crate::plan::note_bitmap_degrade(&base.desc, plan.format, base.counters);
         if let Some(c) = base.counters {
             match plan.direction {
                 Direction::Push => c.add_push_step(),
@@ -302,34 +303,42 @@ where
         }
         match plan.direction {
             Direction::Push => {
-                let sparse_input;
-                let sv = match base.input.as_sparse() {
-                    Some(sv) => sv,
-                    None => {
-                        sparse_input = base.input.to_sparse();
-                        &sparse_input
-                    }
-                };
-                // Same shard resolution as `mxv`'s push arm: the stripe
-                // grid partitions the store side the column kernel reads.
-                let shard_plan = plan.shard.map(|grid| {
-                    crate::ops_mxv::shard_plan_for(base.graph, !base.desc.transpose, grid)
-                });
-                let shard = shard_plan.as_deref();
-                let out = match crate::exec::store_budgeted(
+                let src = [PushSource {
+                    v: base.input,
+                    mask: base.mask,
+                    counters: base.counters,
+                }];
+                let (ids, vals) = push_face(
+                    base.s,
                     base.graph,
-                    !base.desc.transpose,
+                    &src,
+                    &base.desc,
                     plan.format,
+                    plan.shard,
                     base.counters,
-                ) {
-                    StoreRef::Csr(m) => fused_push(&base, m, sv, shard, &apply, &update, state),
-                    StoreRef::Bitmap(m) => fused_push(&base, m, sv, shard, &apply, &update, state),
-                    StoreRef::Dcsr(m) => fused_push(&base, m, sv, shard, &apply, &update, state),
-                };
-                // Post-kernel poll: a checkpoint bail upstream must not
-                // let a partial assignment masquerade as success.
+                )
+                .pop()
+                .expect("one output per source");
+                // Post-kernel poll: a checkpoint bail upstream leaves
+                // partial parts, which must not reach the caller's state.
                 crate::exec::check_stop(base.counters)?;
-                Ok(out)
+                if let Some(c) = base.counters {
+                    // The unfused composition would write each filtered
+                    // entry into a sparse output vector the caller
+                    // immediately re-reads.
+                    c.add_fused_saved_writes(ids.len() as u64);
+                }
+                let mut touched =
+                    Vec::with_capacity(if base.collect_touched { ids.len() } else { 0 });
+                for (&i, &y) in ids.iter().zip(&vals) {
+                    if let Some(next) = update(state[i as usize], apply(y)) {
+                        state[i as usize] = next;
+                        if base.collect_touched {
+                            touched.push(i);
+                        }
+                    }
+                }
+                Ok(FusedOutput { touched })
             }
             Direction::Pull => {
                 let dense_input;
@@ -384,58 +393,6 @@ where
             }
         }
     }
-}
-
-/// Push face: the column kernel's expansion/merge/filter runs unchanged
-/// (via [`col_kernel_parts`], so counters match the unfused kernel exactly),
-/// then apply + assign consume the harvested parts in one sequential pass —
-/// the sparse output vector is never built.
-fn fused_push<A, X, Y, Z, S, F, U, M>(
-    base: &FusedMxv<'_, A, X, S>,
-    op_t: &M,
-    v: &SparseVector<X>,
-    shard: Option<&graphblas_matrix::ShardPlan>,
-    apply: &F,
-    update: &U,
-    state: &mut [Z],
-) -> FusedOutput
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    Z: Scalar,
-    S: Semiring<A, X, Y>,
-    F: Fn(Y) -> Z,
-    U: Fn(Z, Z) -> Option<Z>,
-    M: RowAccess<A>,
-{
-    let (ids, vals): (Vec<u32>, Vec<Y>) =
-        col_kernel_parts(base.s, op_t, v, base.mask, &base.desc, shard, base.counters);
-    // A trip during the kernel leaves partial parts: skip the assign pass
-    // entirely so the caller's state sees as little of the aborted run as
-    // possible (the dispatcher converts the sticky trip into an error, and
-    // guarded callers discard the state buffer on any error).
-    if base.counters.is_some_and(|c| c.stop_reason().is_some()) {
-        return FusedOutput {
-            touched: Vec::new(),
-        };
-    }
-    if let Some(c) = base.counters {
-        // The unfused composition would write each filtered entry into a
-        // sparse output vector the caller immediately re-reads.
-        c.add_fused_saved_writes(ids.len() as u64);
-    }
-    let mut touched = Vec::with_capacity(if base.collect_touched { ids.len() } else { 0 });
-    for (&i, &y) in ids.iter().zip(vals.iter()) {
-        let z = apply(y);
-        if let Some(next) = update(state[i as usize], z) {
-            state[i as usize] = next;
-            if base.collect_touched {
-                touched.push(i);
-            }
-        }
-    }
-    FusedOutput { touched }
 }
 
 /// Pull-face sink: each reduced row is applied and assigned straight into

@@ -52,6 +52,7 @@ pub mod ops_mxv;
 pub mod ops_mxv_batch;
 pub mod plan;
 mod pull;
+mod push;
 pub mod vector;
 pub mod vector_ops;
 

@@ -13,30 +13,24 @@
 //! mask inside the kernel (row) or as a post-filter (column) — exactly the
 //! asymmetry Figure 4 illustrates: masking accelerates the row kernel but
 //! merely filters the column kernel's output.
+//!
+//! The kernels here are thin wrappers: every row-based matvec runs the one
+//! pull driver (`pull.rs`), every column-based one the one push driver
+//! (`push.rs`), single-source calls as the `k = 1` batch.
 
-use crate::descriptor::{Descriptor, Direction, DirectionChoice, MergeStrategy};
+use crate::descriptor::{Descriptor, Direction, DirectionChoice};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
 use crate::pull::{pull_dense, Reduce};
+use crate::push::{push, push_face, Merge, PushSource};
 use crate::vector::{DenseVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, ShardGrid, ShardPlan, StoreRef};
+use graphblas_matrix::{Graph, RowAccess, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
-use graphblas_primitives::{gather, merge, pool, scan, segreduce, sort, Spa};
-use rayon::prelude::*;
-use std::sync::Arc;
 
 /// Row grain for parallel row-kernel loops (shared with the batched row
 /// kernel so single-source and batched chunking agree).
 pub(crate) const ROW_GRAIN: usize = 512;
-
-/// Expanded products each column-kernel SPA chunk should own (shared with
-/// the batched column kernel, which must produce identical chunk bounds).
-pub(crate) const SPA_GRAIN: usize = 8192;
-
-/// Ceiling on private SPAs alive at once per source — each is `O(M)`
-/// memory.
-pub(crate) const MAX_SPAS: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Row-based (pull) kernels
@@ -121,9 +115,9 @@ where
 // ---------------------------------------------------------------------------
 
 /// Column-based matvec without a mask: gathers the operand columns selected
-/// by the sparse input's nonzeros and resolves collisions by multiway merge
-/// (radix sort + segmented reduce, Algorithm 3, or per-worker SPAs when the
-/// descriptor asks). `O(d·nnz(f)·log nnz(f))`.
+/// by the sparse input's nonzeros and resolves collisions under the
+/// descriptor's [`MergeStrategy`](crate::MergeStrategy) (radix sort + segmented reduce,
+/// Algorithm 3, or per-chunk SPAs). `O(d·nnz(f)·log nnz(f))`.
 ///
 /// `op_t` must be the *transpose* of the logical operand: its rows are the
 /// operand's columns, which is how CSC access is realized (§3).
@@ -141,7 +135,7 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    col_kernel(s, op_t, v, None, desc, None, counters)
+    push_one(s, op_t, v, None, desc, counters)
 }
 
 /// Column-based **masked** matvec — Algorithm 3 with the final mask filter
@@ -163,17 +157,16 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    assert_eq!(op_t.n_rows(), mask.dim(), "mask must cover output dim");
-    col_kernel(s, op_t, v, Some(mask), desc, None, counters)
+    push_one(s, op_t, v, Some(mask), desc, counters)
 }
 
-fn col_kernel<A, X, Y, S, M>(
+/// A single-source push: the `k = 1` call of the push driver.
+fn push_one<A, X, Y, S, M>(
     s: S,
     op_t: &M,
     v: &SparseVector<X>,
     mask: Option<&Mask<'_>>,
     desc: &Descriptor,
-    shard: Option<&ShardPlan>,
     counters: Option<&AccessCounters>,
 ) -> SparseVector<Y>
 where
@@ -183,510 +176,12 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    let (ids, vals) = col_kernel_parts(s, op_t, v, mask, desc, shard, counters);
+    let src = [PushSource { v, mask, counters }];
+    let merge = Merge::choose(s, op_t, desc, None);
+    let (ids, vals) = push(s, op_t, &src, merge)
+        .pop()
+        .expect("one output per source");
     SparseVector::from_sorted(ids, vals)
-}
-
-/// The column kernel up to (but not including) output materialization:
-/// expansion, merge under the descriptor's [`MergeStrategy`], mask filter,
-/// and identity drop, returning the raw sorted `(ids, vals)` pair lists.
-///
-/// [`col_kernel`] wraps this into a [`SparseVector`]; the fused pipeline
-/// ([`crate::fused::FusedMxv`]) consumes the parts directly so the applied/
-/// assigned chain never materializes an intermediate vector. Counter
-/// bookkeeping is identical either way.
-///
-/// `shard` routes the [`MergeStrategy::SpaMerge`] arm through the
-/// cache-blocked stripe kernel ([`spa_merge_kernel_sharded`]); the
-/// sort-based arm ignores it (its collision resolution is global by
-/// construction), so per-strategy equivalence is unaffected.
-pub(crate) fn col_kernel_parts<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    mask: Option<&Mask<'_>>,
-    desc: &Descriptor,
-    shard: Option<&ShardPlan>,
-    counters: Option<&AccessCounters>,
-) -> (Vec<u32>, Vec<Y>)
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    let add = s.add_monoid();
-    let identity = add.identity();
-    // Entry checkpoint: the column kernel's pre-expansion boundary.
-    if !crate::exec::live(counters) {
-        return (Vec::new(), Vec::new());
-    }
-    if let Some(c) = counters {
-        c.add_vector(v.nnz() as u64);
-    }
-
-    // Structure-only fast path: all products are a known constant, so the
-    // merge is a pure dedup — a claim pass instead of Algorithm 3's
-    // expand/sort/dedup. Charges stay those of the key-only sort (§5.5).
-    let structure_hint = if desc.structure_only {
-        s.product_hint()
-    } else {
-        None
-    };
-
-    let sort_based = |counters: Option<&AccessCounters>| -> (Vec<u32>, Vec<Y>) {
-        let max_key = op_t.n_rows().max(1) as u32 - 1;
-        if let Some(hint) = structure_hint {
-            let total = expanded_len(op_t, v);
-            if let Some(c) = counters {
-                c.add_matrix(total as u64);
-            }
-            // Caller-thread charge for Algorithm 3's bare-key expansion
-            // buffer: the modeled traffic, metered even though the claim
-            // pass never materializes it.
-            if !crate::exec::charge_alloc(counters, output_bytes::<u32>(total)) {
-                return (Vec::new(), Vec::new());
-            }
-            if let Some(c) = counters {
-                c.add_sort(total as u64 * sort::passes_for(max_key) as u64);
-            }
-            claim_unique(op_t, v, hint)
-        } else {
-            let (mut keys, mut prods) = expand_pairs(s, op_t, v, counters);
-            if let Some(c) = counters {
-                // Key-value sort moves twice the data of a key-only sort —
-                // the factor structure-only removes.
-                c.add_sort(2 * keys.len() as u64 * sort::passes_for(max_key) as u64);
-            }
-            sort::sort_pairs(&mut keys, &mut prods, max_key);
-            segreduce::segmented_reduce_by_key(&keys, &prods, |a, b| add.op(a, b))
-        }
-    };
-
-    let (mut ids, mut vals) = match desc.merge_strategy {
-        // The sort-based merge is where the bit-parallel push arm slots in:
-        // same structure-only precondition as the claim arm, plus a
-        // word-surfaced store and the descriptor opt-in. The bit arm
-        // replaces expand/sort/dedup with word-wise OR of source-row spans
-        // but charges the identical matrix/sort amounts (see
-        // `bitops::bit_push_parts`), so it is invisible to the counter
-        // equivalence contract.
-        MergeStrategy::SortBased => match crate::bitops::bit_push_parts(s, op_t, v, desc, counters)
-        {
-            Some(parts) => parts,
-            None => sort_based(counters),
-        },
-        MergeStrategy::SpaMerge => {
-            if v.nnz() == 0 {
-                (Vec::new(), Vec::new())
-            } else if let Some(plan) = shard {
-                spa_merge_kernel_sharded(s, op_t, v, plan, counters)
-            } else {
-                spa_merge_kernel(s, op_t, v, counters)
-            }
-        }
-    };
-
-    filter_col_output(&mut ids, &mut vals, mask, identity, counters);
-    (ids, vals)
-}
-
-/// Mask filter (lines 17–24 of Algorithm 3) and identity drop, in place.
-/// Entries whose reduced value equals the ⊕ identity are implicit zeros
-/// and are not materialized. Shared with the batched column kernel so the
-/// per-source mask bookkeeping is identical.
-pub(crate) fn filter_col_output<Y: Scalar>(
-    ids: &mut Vec<u32>,
-    vals: &mut Vec<Y>,
-    mask: Option<&Mask<'_>>,
-    identity: Y,
-    counters: Option<&AccessCounters>,
-) {
-    if let Some(c) = counters {
-        if mask.is_some() {
-            c.add_mask(ids.len() as u64);
-        }
-    }
-    let mut write = 0usize;
-    for read in 0..ids.len() {
-        let keep = vals[read] != identity && mask.is_none_or(|m| m.allows(ids[read] as usize));
-        if keep {
-            ids[write] = ids[read];
-            vals[write] = vals[read];
-            write += 1;
-        }
-    }
-    ids.truncate(write);
-    vals.truncate(write);
-}
-
-/// The expansion preamble every column-kernel arm shares: scatter offsets
-/// over the frontier's selected columns (CSR-style, trailing total) and
-/// the expanded product count.
-pub(crate) fn expansion_offsets<A, X, M>(op_t: &M, v: &SparseVector<X>) -> (Vec<usize>, usize)
-where
-    A: Scalar,
-    X: Scalar,
-    M: RowAccess<A>,
-{
-    let lengths: Vec<usize> = v.ids().iter().map(|&k| op_t.degree(k as usize)).collect();
-    let offsets = scan::exclusive_scan_offsets(&lengths);
-    let total = *offsets.last().expect("non-empty offsets");
-    (offsets, total)
-}
-
-/// Per-worker SPA accumulation with a deterministic merge — the
-/// [`MergeStrategy::SpaMerge`] arm of the column kernel.
-///
-/// The frontier is cut into expansion-balanced chunks (boundaries derived
-/// from the scanned neighbor-list lengths, never from the thread count, so
-/// results are identical at every lane count). Each chunk scatters its
-/// products into a private [`Spa`] in frontier order; the per-chunk sorted
-/// harvests are then combined by [`merge::multiway_merge_reduce`], whose
-/// tie-breaking by list order makes the whole reduction group operands
-/// exactly as a left-to-right walk of each chunk — deterministic for any
-/// associative ⊕.
-fn spa_merge_kernel<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    counters: Option<&AccessCounters>,
-) -> (Vec<u32>, Vec<Y>)
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    let (offsets, total) = expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        c.add_matrix(total as u64);
-        // One SPA scatter per product plus the harvest.
-        c.add_vector(2 * total as u64);
-    }
-
-    let seg_ranges = spa_chunk_ranges(&offsets, total);
-    let parts: Vec<Vec<(u32, Y)>> = seg_ranges
-        .into_par_iter()
-        .map(|(s0, s1)| spa_harvest_chunk(s, op_t, v, s0, s1, counters))
-        .collect();
-    spa_merge_parts(s.add_monoid(), &parts, counters)
-}
-
-/// Expansion-balanced chunk boundaries over frontier segments: each chunk
-/// owns ≈ [`SPA_GRAIN`] expanded products, at most [`MAX_SPAS`] chunks.
-/// Shared with the batched column kernel so a batch row's chunking is
-/// bit-identical to its single-source run.
-pub(crate) fn spa_chunk_ranges(offsets: &[usize], total: usize) -> Vec<(usize, usize)> {
-    let pieces = (total / SPA_GRAIN).clamp(1, MAX_SPAS);
-    let n_seg = offsets.len() - 1;
-    let mut bounds = vec![0usize];
-    for j in 1..pieces {
-        let target = total * j / pieces;
-        let idx = offsets[..=n_seg]
-            .partition_point(|&o| o < target)
-            .min(n_seg);
-        if idx > *bounds.last().expect("non-empty bounds") {
-            bounds.push(idx);
-        }
-    }
-    // Guard against a duplicate trailing bound: an empty (n_seg, n_seg)
-    // chunk would still allocate and drain a full O(M) SPA for zero work.
-    if *bounds.last().expect("non-empty bounds") != n_seg {
-        bounds.push(n_seg);
-    }
-    bounds.windows(2).map(|w| (w[0], w[1])).collect()
-}
-
-/// Scatter one chunk of frontier segments `[s0, s1)` into a private SPA
-/// and harvest the sorted (row, value) pairs.
-pub(crate) fn spa_harvest_chunk<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    s0: usize,
-    s1: usize,
-    counters: Option<&AccessCounters>,
-) -> Vec<(u32, Y)>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    // Per-chunk checkpoint before the O(M) private SPA is even built.
-    if !crate::exec::live(counters) {
-        return Vec::new();
-    }
-    let add = s.add_monoid();
-    let identity = add.identity();
-    let ids = v.ids();
-    let xs = v.vals();
-    let mut spa = Spa::new(op_t.n_rows(), identity);
-    for seg in s0..s1 {
-        let src = ids[seg] as usize;
-        let x = xs[seg];
-        let cols = op_t.row(src);
-        let avals = op_t.row_values(src);
-        for (idx, &j) in cols.iter().enumerate() {
-            spa.accumulate(j, s.mult(avals[idx], x), |a, b| add.op(a, b));
-        }
-    }
-    spa.drain_sorted_pairs()
-}
-
-/// Combine per-chunk sorted harvests by the deterministic k-way merge in
-/// chunk order, charging the merge's sort traffic.
-pub(crate) fn spa_merge_parts<Y, M>(
-    add: M,
-    parts: &[Vec<(u32, Y)>],
-    counters: Option<&AccessCounters>,
-) -> (Vec<u32>, Vec<Y>)
-where
-    Y: Scalar,
-    M: Monoid<Y>,
-{
-    if let Some(c) = counters {
-        let merged_in: usize = parts.iter().map(Vec::len).sum();
-        c.add_sort((merged_in as f64 * (parts.len().max(2) as f64).log2()) as u64);
-    }
-    let refs: Vec<&[(u32, Y)]> = parts.iter().map(Vec::as_slice).collect();
-    let merged = merge::multiway_merge_reduce(&refs, |a, b| add.op(a, b));
-    merged.into_iter().unzip()
-}
-
-/// The [`ShardPlan`] a resolved grid executes with: the graph's cached
-/// default-budget plan when the grids agree (the `Auto` path, one Arc
-/// clone), an ad-hoc plan over the baseline CSR otherwise (`Fixed` grids).
-/// Stripe boundaries depend only on the operand shape and the grid, so a
-/// plan built from the CSR is valid for whatever store format the kernel
-/// actually runs over.
-pub(crate) fn shard_plan_for<A: Scalar>(
-    graph: &Graph<A>,
-    side: bool,
-    grid: ShardGrid,
-) -> Arc<ShardPlan> {
-    let cached = graph.shard_plan(side);
-    if cached.grid() == grid {
-        return Arc::clone(cached);
-    }
-    let store = if side { graph.csr_t() } else { graph.csr() };
-    Arc::new(ShardPlan::with_grid(store, grid))
-}
-
-/// Cache-blocked variant of [`spa_merge_kernel`]: the 2D-sharded push arm.
-///
-/// The frontier is cut into the **same** expansion-balanced chunks as the
-/// unsharded kernel ([`spa_chunk_ranges`]), but collisions resolve inside
-/// *column stripes*: each stripe owns one windowed [`Spa`] slab sized to
-/// the stripe width (the cache block), every chunk scatters only the
-/// products whose destination falls inside the stripe (a binary search
-/// per frontier segment finds the sub-slice, since CSR rows are sorted),
-/// and the per-chunk harvests merge *within the stripe* in chunk order.
-/// The global cross-stripe merge barrier of the unsharded kernel does not
-/// exist: the output is the concatenation of the independently merged
-/// stripes, which is globally sorted because stripe ranges ascend.
-///
-/// Equivalence to the unsharded oracle is bit-exact in both values and
-/// access counters:
-///
-/// * **values** — an output row lives in exactly one stripe, its chunk
-///   partials carry the same products in the same frontier order, and the
-///   stripe merge combines them in the same chunk order, so every ⊕
-///   grouping is identical;
-/// * **counters** — matrix/vector traffic is charged in bulk from the same
-///   expansion total, and the merge's sort traffic is charged **once
-///   globally** from the total merged-in length and the chunk count
-///   (stripe harvests partition each chunk's harvest exactly, so the
-///   totals agree; charging per stripe would break bit-identity through
-///   `f64` truncation).
-///
-/// Scheduling is one indivisible task per stripe
-/// ([`pool::par_map_shards`]): a worker that picks up a stripe owns every
-/// write into it, so lanes never contend on a slab and results recombine
-/// in stripe order at any lane count. The stripe-local merges and the
-/// products that crossed stripes are tallied in the `shard_merges` /
-/// `cross_shard_writes` telemetry counters (excluded from equivalence
-/// projections, like all telemetry).
-pub(crate) fn spa_merge_kernel_sharded<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    plan: &ShardPlan,
-    counters: Option<&AccessCounters>,
-) -> (Vec<u32>, Vec<Y>)
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    let (offsets, total) = expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        // Same bulk charges as the unsharded kernel: one matrix access per
-        // expanded product, one SPA scatter per product plus the harvest.
-        c.add_matrix(total as u64);
-        c.add_vector(2 * total as u64);
-    }
-
-    let seg_ranges = spa_chunk_ranges(&offsets, total);
-    let identity = s.add_monoid().identity();
-    let ids = v.ids();
-    let xs = v.vals();
-
-    // One task per column stripe; the worker that takes stripe `st` owns
-    // its SPA slab, its chunk harvests, and its merge end to end. Each
-    // stripe yields its merged (id, value) run plus its (merged, crossing)
-    // telemetry tallies.
-    type StripeOut<Y> = (Vec<(u32, Y)>, u64, u64);
-    let stripes: Vec<StripeOut<Y>> = pool::par_map_shards(plan.n_col_stripes(), |st| {
-        // Per-stripe checkpoint, mirroring the per-chunk checkpoint of
-        // the unsharded kernel: a tripped limit stops before the slab
-        // is even built, and the dispatcher turns the trip into an
-        // error so the partial output never escapes.
-        if !crate::exec::live(counters) {
-            return (Vec::new(), 0, 0);
-        }
-        let window = plan.col_range(st);
-        if window.is_empty() {
-            return (Vec::new(), 0, 0);
-        }
-        let add = s.add_monoid();
-        let (lo, hi) = (window.start as u32, window.end as u32);
-        let mut spa = Spa::windowed(window, identity);
-        let mut cross = 0u64;
-        let mut parts: Vec<Vec<(u32, Y)>> = Vec::with_capacity(seg_ranges.len());
-        for &(s0, s1) in &seg_ranges {
-            for seg in s0..s1 {
-                let src = ids[seg] as usize;
-                let x = xs[seg];
-                let cols = op_t.row(src);
-                // The stripe's sub-slice of this adjacency row: CSR
-                // rows are sorted ascending, so two binary searches
-                // bound the products that land in this slab.
-                let p0 = cols.partition_point(|&j| j < lo);
-                let p1 = p0 + cols[p0..].partition_point(|&j| j < hi);
-                if p0 == p1 {
-                    continue;
-                }
-                if plan.col_stripe_of(src) != st {
-                    cross += (p1 - p0) as u64;
-                }
-                let avals = op_t.row_values(src);
-                for idx in p0..p1 {
-                    spa.accumulate(cols[idx], s.mult(avals[idx], x), |a, b| add.op(a, b));
-                }
-            }
-            parts.push(spa.drain_sorted_pairs());
-        }
-        let merged_in: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let refs: Vec<&[(u32, Y)]> = parts.iter().map(Vec::as_slice).collect();
-        let merged = merge::multiway_merge_reduce(&refs, |a, b| add.op(a, b));
-        (merged, merged_in, cross)
-    });
-
-    if let Some(c) = counters {
-        // Sort traffic charged once globally — identical to the unsharded
-        // `spa_merge_parts` charge because the stripe harvests partition
-        // the chunk harvests exactly (same merged-in total, same chunk
-        // count). Telemetry: one stripe-local merge per stripe that held
-        // data, and every product whose destination stripe differs from
-        // its source's.
-        let merged_in_total: u64 = stripes.iter().map(|(_, m, _)| m).sum();
-        c.add_sort((merged_in_total as f64 * (seg_ranges.len().max(2) as f64).log2()) as u64);
-        c.add_shard_merges(stripes.iter().filter(|(_, m, _)| *m > 0).count() as u64);
-        c.add_cross_shard_writes(stripes.iter().map(|(_, _, x)| x).sum());
-    }
-
-    let out_len: usize = stripes.iter().map(|(m, _, _)| m.len()).sum();
-    let mut out_ids = Vec::with_capacity(out_len);
-    let mut out_vals = Vec::with_capacity(out_len);
-    for (merged, _, _) in stripes {
-        for (i, y) in merged {
-            out_ids.push(i);
-            out_vals.push(y);
-        }
-    }
-    (out_ids, out_vals)
-}
-
-/// Expand the selected columns into a flat (row-index, product) pair list.
-fn expand_pairs<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    v: &SparseVector<X>,
-    counters: Option<&AccessCounters>,
-) -> (Vec<u32>, Vec<Y>)
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    let (offsets, total) = expansion_offsets(op_t, v);
-    if let Some(c) = counters {
-        c.add_matrix(total as u64);
-    }
-    // Caller-thread charge for both expansion buffers (keys + products).
-    let bytes = output_bytes::<u32>(total) + output_bytes::<Y>(total);
-    if !crate::exec::charge_alloc(counters, bytes) {
-        return (Vec::new(), Vec::new());
-    }
-    let mut keys = vec![0u32; total];
-    let mut prods: Vec<Y> = vec![s.add_monoid().identity(); total];
-    let kp = SendPtr(keys.as_mut_ptr());
-    let pp = SendPtr(prods.as_mut_ptr());
-    let ids = v.ids();
-    let xs = v.vals();
-    gather::interval_gather(&offsets, pool::DEFAULT_GRAIN, |seg, within, pos| {
-        let src = ids[seg] as usize;
-        let j = op_t.row(src)[within];
-        let a = op_t.row_values(src)[within];
-        // SAFETY: positions partition 0..total; writes are disjoint.
-        unsafe {
-            *kp.get().add(pos) = j;
-            *pp.get().add(pos) = s.mult(a, xs[seg]);
-        }
-    });
-    (keys, prods)
-}
-
-/// Expanded product count `Σ deg` over the frontier's selected rows.
-fn expanded_len<A: Scalar, X: Scalar, M: RowAccess<A>>(op_t: &M, v: &SparseVector<X>) -> usize {
-    v.ids().iter().map(|&k| op_t.degree(k as usize)).sum()
-}
-
-/// The claim pass of the structure-only merges: walk each frontier row,
-/// test-and-set every column in a scratch bitmap, and keep a column only
-/// the first time it is claimed; then sort the unique keys. Yields exactly
-/// what expand → sort → dedup does, without materializing or sorting the
-/// duplicates. Serial: a parallel `fetch_or` claim measured slower.
-fn claim_unique<A, X, Y, M>(op_t: &M, v: &SparseVector<X>, hint: Y) -> (Vec<u32>, Vec<Y>)
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    M: RowAccess<A>,
-{
-    let mut claimed = vec![0u64; op_t.n_cols().div_ceil(64)];
-    let mut keys = Vec::new();
-    for &src in v.ids() {
-        for &j in op_t.row(src as usize) {
-            let (word, bit) = (&mut claimed[j as usize / 64], 1u64 << (j % 64));
-            if *word & bit == 0 {
-                *word |= bit;
-                keys.push(j);
-            }
-        }
-    }
-    keys.sort_unstable();
-    let vals = vec![hint; keys.len()];
-    (keys, vals)
 }
 
 // ---------------------------------------------------------------------------
@@ -991,31 +486,13 @@ where
     }
     match plan.direction {
         Direction::Push => {
-            let sparse_input;
-            let sv = match v.as_sparse() {
-                Some(sv) => sv,
-                None => {
-                    sparse_input = v.to_sparse();
-                    &sparse_input
-                }
-            };
-            // The shard dimension of the plan (push only) partitions the
-            // store side the column kernel iterates rows of: the
-            // transpose-of-operand.
-            let shard_plan = plan
-                .shard
-                .map(|grid| shard_plan_for(graph, !desc.transpose, grid));
-            let shard = shard_plan.as_deref();
-            let out =
-                match crate::exec::store_budgeted(graph, !desc.transpose, plan.format, counters) {
-                    StoreRef::Csr(m) => push_face(s, m, sv, mask, desc, shard, counters),
-                    StoreRef::Bitmap(m) => push_face(s, m, sv, mask, desc, shard, counters),
-                    StoreRef::Dcsr(m) => push_face(s, m, sv, mask, desc, shard, counters),
-                };
+            let src = [PushSource { v, mask, counters }];
+            let (ids, vals) = push_face(s, graph, &src, desc, plan.format, plan.shard, counters)
+                .pop()
+                .expect("one output per source");
             // Post-kernel poll: a checkpoint bail inside the kernel left an
             // identity-shaped partial result that must not escape.
             crate::exec::check_stop(counters)?;
-            let (ids, vals) = (out.ids().to_vec(), out.vals().to_vec());
             Ok(Vector::from_sparse(operand.n_rows(), identity, ids, vals))
         }
         Direction::Pull => {
@@ -1038,28 +515,6 @@ where
             Ok(Vector::Dense(out))
         }
     }
-}
-
-/// The push face for one concrete store: masked or unmasked column kernel,
-/// with the shard plan (when the resolved [`crate::plan::ExecPlan`] carries
-/// one) threaded through to the stripe-local SPA merge.
-fn push_face<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    sv: &SparseVector<X>,
-    mask: Option<&Mask<'_>>,
-    desc: &Descriptor,
-    shard: Option<&ShardPlan>,
-    counters: Option<&AccessCounters>,
-) -> SparseVector<Y>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    col_kernel(s, op_t, sv, mask, desc, shard, counters)
 }
 
 /// The pull face for one concrete store: the dense sink of the one pull
@@ -1181,8 +636,9 @@ impl<T> SendPtr<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptor::MergeStrategy;
     use crate::ops::{BoolOrAnd, BoolStructure, MinPlus, PlusTimes};
-    use graphblas_matrix::Coo;
+    use graphblas_matrix::{Coo, ShardGrid};
     use graphblas_primitives::BitVec;
 
     /// The 8-vertex example of Figure 3: frontier {B, C, D}, visited

@@ -17,11 +17,12 @@
 //!   ([`grid_chunks`](graphblas_primitives::pool::grid_chunks)) the worker
 //!   pool drains by index stealing, so lanes stay busy even when one
 //!   source's frontier is tiny;
-//! * [`col_masked_mxv_batch`] — the push face: every push row's frontier
-//!   cut into expansion-balanced SPA chunks (the same boundaries as the
-//!   single-source [`crate::MergeStrategy::SpaMerge`] kernel), all chunks drained
-//!   from one flat grid, then combined per source by the deterministic
-//!   k-way merge in chunk order.
+//! * [`col_masked_mxv_batch`] — the push face, the one push driver with
+//!   every push row as a source: each frontier cut into expansion-balanced
+//!   SPA chunks (the same boundaries as the single-source
+//!   [`crate::MergeStrategy::SpaMerge`] kernel), all chunks drained from
+//!   one flat `(source, chunk)` grid, then folded per source by the
+//!   deterministic k-way merge in chunk order.
 //!
 //! **Equivalence contract** (pinned by `tests/prop_core.rs`): a batched
 //! call produces bit-identical values *and access counters* to `k`
@@ -32,19 +33,16 @@
 //! (never the lane count), so results are also identical at every thread
 //! count.
 
-use crate::descriptor::{Descriptor, Direction, DirectionChoice};
+use crate::descriptor::{Descriptor, Direction, DirectionChoice, MergeStrategy};
 use crate::error::{GrbError, GrbResult};
 use crate::mask::Mask;
 use crate::ops::{Monoid, Scalar, Semiring};
-use crate::ops_mxv::{
-    expansion_offsets, filter_col_output, spa_chunk_ranges, spa_harvest_chunk, spa_merge_parts,
-    DirectionPolicy,
-};
+use crate::ops_mxv::DirectionPolicy;
 use crate::pull::{pull_dense, Reduce};
+use crate::push::{push, push_face, Merge, PushSource};
 use crate::vector::{DenseVector, MultiVector, SparseVector, Vector};
-use graphblas_matrix::{Graph, RowAccess, ShardPlan, StoreRef};
+use graphblas_matrix::{Graph, RowAccess, StoreRef};
 use graphblas_primitives::counters::AccessCounters;
-use rayon::prelude::*;
 
 /// Batched row-based (pull) masked matvec: one dense input and one mask
 /// per source, outputs computed over a flat `(source, row-chunk)` grid.
@@ -115,139 +113,21 @@ where
     S: Semiring<A, X, Y>,
     M: RowAccess<A>,
 {
-    col_masked_mxv_batch_impl(s, op_t, vs, masks, None, counters, None)
-}
-
-/// [`col_masked_mxv_batch`] with optional per-source counter attribution:
-/// each source's expansion preamble, SPA harvests, merge, and mask filter
-/// charge (and poll) that source's counters, so a tripped source bails out
-/// of its own chunks without touching its siblings. A shard plan routes
-/// every source through the stripe-local sharded merge instead of the flat
-/// chunk grid — sources then run one after another, each internally
-/// parallel across its stripes, which preserves the batch ≡ `k` solo runs
-/// contract (values and counters) by construction.
-#[allow(clippy::too_many_arguments)]
-fn col_masked_mxv_batch_impl<A, X, Y, S, M>(
-    s: S,
-    op_t: &M,
-    vs: &[&SparseVector<X>],
-    masks: Option<&[Mask<'_>]>,
-    shard: Option<&ShardPlan>,
-    counters: Option<&AccessCounters>,
-    row_counters: Option<&[&AccessCounters]>,
-) -> Vec<SparseVector<Y>>
-where
-    A: Scalar,
-    X: Scalar,
-    Y: Scalar,
-    S: Semiring<A, X, Y>,
-    M: RowAccess<A>,
-{
-    if let Some(rc) = row_counters {
-        assert_eq!(rc.len(), vs.len(), "one counter set per batch row");
-    }
     if let Some(ms) = masks {
         assert_eq!(ms.len(), vs.len(), "one mask per batch row");
-        for m in ms {
-            assert_eq!(m.dim(), op_t.n_rows(), "mask must cover output dim");
-        }
     }
-    let add = s.add_monoid();
-    let identity = add.identity();
-    // Entry checkpoint: the batched column kernel's pre-expansion boundary.
-    if !crate::exec::live(counters) {
-        return vs
-            .iter()
-            .map(|_| SparseVector::from_sorted(Vec::new(), Vec::new()))
-            .collect();
-    }
-
-    if let Some(plan) = shard {
-        // Sharded arm: each source runs the exact single-source sharded
-        // kernel (stripe-parallel inside), sources in batch order. The
-        // stripe tasks of one source saturate the pool on their own, so
-        // cross-source parallelism buys nothing the stripes don't already.
-        return vs
-            .iter()
-            .enumerate()
-            .map(|(j, v)| {
-                let cj = row_charge(counters, row_counters, j);
-                if let Some(c) = cj {
-                    c.add_vector(v.nnz() as u64);
-                }
-                if v.nnz() == 0 {
-                    return SparseVector::from_sorted(Vec::new(), Vec::new());
-                }
-                let (mut ids, mut vals) =
-                    crate::ops_mxv::spa_merge_kernel_sharded(s, op_t, v, plan, cj);
-                let mask = masks.map(|ms| &ms[j]);
-                filter_col_output(&mut ids, &mut vals, mask, identity, cj);
-                SparseVector::from_sorted(ids, vals)
-            })
-            .collect();
-    }
-
-    // Expansion preamble per source, then one flat chunk grid. Chunk
-    // boundaries come from `spa_chunk_ranges`, so each source's chunking
-    // is bit-identical to its single-source SpaMerge run.
-    let mut items: Vec<(usize, usize, usize)> = Vec::new();
-    let mut chunk_counts = vec![0usize; vs.len()];
-    for (j, v) in vs.iter().enumerate() {
-        let cj = row_charge(counters, row_counters, j);
-        if let Some(c) = cj {
-            c.add_vector(v.nnz() as u64);
-        }
-        if v.nnz() == 0 {
-            continue;
-        }
-        let (offsets, total) = expansion_offsets(op_t, v);
-        if let Some(c) = cj {
-            c.add_matrix(total as u64);
-            // One SPA scatter per product plus the harvest.
-            c.add_vector(2 * total as u64);
-        }
-        let ranges = spa_chunk_ranges(&offsets, total);
-        chunk_counts[j] = ranges.len();
-        items.extend(ranges.into_iter().map(|(s0, s1)| (j, s0, s1)));
-    }
-
-    // The (source, chunk) grid: every chunk is an independent SPA harvest,
-    // drained from one flat list so lanes stay busy even when one
-    // source's frontier is tiny.
-    let harvests: Vec<Vec<(u32, Y)>> = items
-        .into_par_iter()
-        .map(|(j, s0, s1)| {
-            spa_harvest_chunk(
-                s,
-                op_t,
-                vs[j],
-                s0,
-                s1,
-                row_charge(counters, row_counters, j),
-            )
+    let sources: Vec<PushSource<'_, SparseVector<X>>> = vs
+        .iter()
+        .enumerate()
+        .map(|(j, &v)| PushSource {
+            v,
+            mask: masks.map(|ms| &ms[j]),
+            counters,
         })
         .collect();
-
-    // Per-source recombination: merge that source's chunk harvests in
-    // chunk order, then apply the Algorithm 3 mask filter + identity drop.
-    let mut starts = Vec::with_capacity(vs.len() + 1);
-    starts.push(0usize);
-    for &count in &chunk_counts {
-        starts.push(starts.last().expect("non-empty") + count);
-    }
-    (0..vs.len())
-        .into_par_iter()
-        .map(|j| {
-            if vs[j].nnz() == 0 {
-                return SparseVector::from_sorted(Vec::new(), Vec::new());
-            }
-            let cj = row_charge(counters, row_counters, j);
-            let parts = &harvests[starts[j]..starts[j + 1]];
-            let (mut ids, mut vals) = spa_merge_parts(add, parts, cj);
-            let mask = masks.map(|ms| &ms[j]);
-            filter_col_output(&mut ids, &mut vals, mask, identity, cj);
-            SparseVector::from_sorted(ids, vals)
-        })
+    push(s, op_t, &sources, Merge::Spa)
+        .into_iter()
+        .map(|(ids, vals)| SparseVector::from_sorted(ids, vals))
         .collect()
 }
 
@@ -445,64 +325,25 @@ where
     let format = crate::plan::resolve_format_batch(graph, desc);
     crate::plan::note_bitmap_degrade(desc, format, counters);
 
-    // Push face: sparse inputs (converting dense rows as `mxv` does),
-    // masks subset in row order.
+    // Push face: every push row is one source of one push-driver call,
+    // always under the SPA merge (or its sharded stripes), so a batch row
+    // matches its solo `SpaMerge` run in values and counters.
     if !push_rows.is_empty() {
-        let owned: Vec<Option<SparseVector<X>>> = push_rows
+        let srcs: Vec<PushSource<'_, Vector<X>>> = push_rows
             .iter()
-            .map(|&r| match input.row(r).as_sparse() {
-                Some(_) => None,
-                None => Some(input.row(r).to_sparse()),
+            .map(|&r| PushSource {
+                v: input.row(r),
+                mask: masks.map(|ms| &ms[r]),
+                counters: row_charge(counters, row_counters, r),
             })
             .collect();
-        let svs: Vec<&SparseVector<X>> = push_rows
-            .iter()
-            .zip(&owned)
-            .map(|(&r, o)| {
-                o.as_ref()
-                    .unwrap_or_else(|| input.row(r).as_sparse().expect("sparse by construction"))
-            })
-            .collect();
-        let sub_masks: Option<Vec<Mask<'_>>> =
-            masks.map(|ms| push_rows.iter().map(|&r| ms[r]).collect());
-        let sub_rc: Option<Vec<&AccessCounters>> =
-            row_counters.map(|rc| push_rows.iter().map(|&r| rc[r]).collect());
-        // Shard resolution for the push face, as in `mxv`: the grid
-        // partitions the transpose-of-operand side the column kernel reads.
-        let shard_plan = crate::plan::resolve_shards(graph, desc.transpose, Direction::Push, desc)
-            .map(|grid| crate::ops_mxv::shard_plan_for(graph, !desc.transpose, grid));
-        let shard = shard_plan.as_deref();
-        let outs = match crate::exec::store_budgeted(graph, !desc.transpose, format, counters) {
-            StoreRef::Csr(m) => col_masked_mxv_batch_impl(
-                s,
-                m,
-                &svs,
-                sub_masks.as_deref(),
-                shard,
-                counters,
-                sub_rc.as_deref(),
-            ),
-            StoreRef::Bitmap(m) => col_masked_mxv_batch_impl(
-                s,
-                m,
-                &svs,
-                sub_masks.as_deref(),
-                shard,
-                counters,
-                sub_rc.as_deref(),
-            ),
-            StoreRef::Dcsr(m) => col_masked_mxv_batch_impl(
-                s,
-                m,
-                &svs,
-                sub_masks.as_deref(),
-                shard,
-                counters,
-                sub_rc.as_deref(),
-            ),
+        let spa = Descriptor {
+            merge_strategy: MergeStrategy::SpaMerge,
+            ..*desc
         };
-        for (&r, sv) in push_rows.iter().zip(outs) {
-            let (ids, vals) = (sv.ids().to_vec(), sv.vals().to_vec());
+        let shard = crate::plan::resolve_shards(graph, desc.transpose, Direction::Push, desc);
+        let outs = push_face(s, graph, &srcs, &spa, format, shard, counters);
+        for (&r, (ids, vals)) in push_rows.iter().zip(outs) {
             out_rows[r] = Some(Vector::from_sparse(operand.n_rows(), identity, ids, vals));
         }
     }

@@ -44,6 +44,9 @@ impl From<std::io::Error> for MmError {
     }
 }
 
+/// Most entries a reader reserves from a header's `nnz` before reading any.
+const RESERVE_CAP: usize = 1 << 20;
+
 fn parse_err(msg: impl Into<String>) -> MmError {
     MmError::Parse(msg.into())
 }
@@ -124,9 +127,22 @@ where
         return Err(parse_err("size line must be `rows cols nnz`"));
     }
     let (n_rows, n_cols, nnz) = (dims[0], dims[1], dims[2]);
+    // Vertex ids are u32: larger dimensions cannot be indexed.
+    if n_rows > u32::MAX as usize || n_cols > u32::MAX as usize {
+        return Err(parse_err(format!(
+            "dimensions {n_rows} x {n_cols} exceed the u32 vertex-id range"
+        )));
+    }
 
     let mut coo = Coo::new(n_rows, n_cols);
-    coo.reserve(if symmetric { nnz * 2 } else { nnz });
+    // The header's nnz is untrusted: reserve at most RESERVE_CAP entries up
+    // front and let a genuinely large file grow the buffer as it is read.
+    let expected = if symmetric {
+        nnz.checked_mul(2)
+    } else {
+        Some(nnz)
+    };
+    coo.reserve(expected.map_or(RESERVE_CAP, |e| e.min(RESERVE_CAP)));
     let mut read = 0usize;
     for line in lines {
         let line = line?;
@@ -220,6 +236,23 @@ pub fn write_coo_pattern<W: Write, V: Copy>(mut writer: W, coo: &Coo<V>) -> Resu
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn oversized_headers_are_parse_errors() {
+        for text in [
+            // Rows beyond the u32 vertex-id range.
+            "%%MatrixMarket matrix coordinate real general\n5000000000 3 0\n",
+            // An nnz no buffer could hold.
+            "%%MatrixMarket matrix coordinate real general\n3 3 18446744073709551615\n",
+            // An nnz whose symmetric doubling overflows.
+            "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 9223372036854775808\n",
+        ] {
+            assert!(
+                matches!(read_coo(Cursor::new(text)), Err(MmError::Parse(_))),
+                "{text:?}"
+            );
+        }
+    }
 
     #[test]
     fn read_general_real() {

@@ -10,10 +10,10 @@ use push_pull::algo::bfs_parents::{bfs_parents_with_opts, ParentBfsOpts};
 use push_pull::algo::cc::{connected_components_with_opts, CcOpts};
 use push_pull::algo::pagerank::{pagerank_with_counters, PageRankOpts};
 use push_pull::algo::sssp::{sssp_with_counters, SsspOpts};
-use push_pull::core::ops::BoolStructure;
+use push_pull::core::ops::{BoolStructure, PlusSecond};
 use push_pull::core::{
-    mxv, mxv_batch, mxv_batch_attributed, Descriptor, Direction, FusedMxv, Mask, MultiVector,
-    Vector,
+    mxv, mxv_batch, mxv_batch_attributed, Descriptor, Direction, FusedMxv, Mask, MergeStrategy,
+    Monoid, MultiVector, Scalar, Semiring, ShardGrid, ShardPolicy, Vector,
 };
 use push_pull::gen::rmat::{rmat, RmatParams};
 use push_pull::gen::suite::dataset;
@@ -345,6 +345,216 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Everything one push observes: the entries it produced or assigned (as
+/// value bits) and its counters.
+type PushRun = (Vec<(u32, u64)>, CounterSnapshot);
+
+/// One push step through every sink of the push driver: unfused `mxv`,
+/// `FusedMxv`, and — under `SpaMerge`, the merge the batch always runs —
+/// `mxv_batch` at k = 1 (shared counters) and `mxv_batch_attributed` at
+/// k = 3 (the source repeated, one counter set per row). Returns the
+/// unfused run and asserts the others against it.
+fn push_through_every_sink<S, X, Y>(
+    s: S,
+    g: &Graph<bool>,
+    f: &Vector<X>,
+    mask: Option<&Mask<'_>>,
+    desc: &Descriptor,
+    bits: fn(Y) -> u64,
+) -> PushRun
+where
+    X: Scalar,
+    Y: Scalar,
+    S: Semiring<bool, X, Y>,
+{
+    let label = format!(
+        "{:?} {:?} {:?} structure_only={} masked={}",
+        desc.merge_strategy,
+        desc.format,
+        desc.shards,
+        desc.structure_only,
+        mask.is_some()
+    );
+    let entries = |v: &Vector<Y>| v.iter_explicit().map(|(i, y)| (i, bits(y))).collect();
+    let unfused: PushRun = {
+        let c = AccessCounters::new();
+        let w: Vector<Y> = mxv(mask, s, g, f, desc, Some(&c)).unwrap();
+        (entries(&w), c.snapshot())
+    };
+    let fused: PushRun = {
+        let c = AccessCounters::new();
+        let mut state = vec![s.add_monoid().identity(); g.n_vertices()];
+        let mut pipe = FusedMxv::new(s, g, f).descriptor(*desc).counters(Some(&c));
+        if let Some(m) = mask {
+            pipe = pipe.mask(m);
+        }
+        let out = pipe
+            .apply(|y: Y| y)
+            .assign_into(&mut state, |_, z| Some(z))
+            .unwrap();
+        let mut snap = c.snapshot();
+        let assigned = out.touched.len() as u64;
+        assert_eq!(snap.fused_saved_writes, assigned, "{label}: saved writes");
+        snap.fused_saved_writes = 0;
+        let got = out.touched.iter().map(|&i| (i, bits(state[i as usize])));
+        (got.collect(), snap)
+    };
+    assert_eq!(fused, unfused, "fused sink ≠ unfused sink ({label})");
+    if desc.merge_strategy != MergeStrategy::SpaMerge {
+        return unfused;
+    }
+    let c = AccessCounters::new();
+    let masks1: Option<Vec<Mask<'_>>> = mask.map(|m| vec![*m]);
+    let one = MultiVector::from_rows(vec![f.clone()]);
+    let out: MultiVector<Y> =
+        mxv_batch(masks1.as_deref(), s, g, &one, desc, None, Some(&c)).unwrap();
+    assert_eq!(entries(out.row(0)), unfused.0, "k=1 batch values ({label})");
+    assert_eq!(c.snapshot(), unfused.1, "k=1 batch counters ({label})");
+    let rows: Vec<AccessCounters> = (0..3).map(|_| AccessCounters::new()).collect();
+    let row_refs: Vec<&AccessCounters> = rows.iter().collect();
+    let masks3: Option<Vec<Mask<'_>>> = mask.map(|m| vec![*m; 3]);
+    let three = MultiVector::from_rows(vec![f.clone(), f.clone(), f.clone()]);
+    let out: MultiVector<Y> = mxv_batch_attributed(
+        masks3.as_deref(),
+        s,
+        g,
+        &three,
+        desc,
+        None,
+        None,
+        Some(&row_refs),
+    )
+    .unwrap();
+    for (r, rc) in rows.iter().enumerate() {
+        assert_eq!(
+            entries(out.row(r)),
+            unfused.0,
+            "k=3 row {r} values ({label})"
+        );
+        assert_eq!(rc.snapshot(), unfused.1, "k=3 row {r} counters ({label})");
+    }
+    unfused
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One push, every sink: unfused `mxv`, `FusedMxv`, `mxv_batch` (k = 1)
+    /// and `mxv_batch_attributed` (k = 3) agree on values and the full
+    /// counter snapshot — `bit_word_ops`, `shard_merges` and
+    /// `cross_shard_writes` included, `fused_saved_writes` aside — for
+    /// masked and unmasked `SpaMerge` pushes on CSR, Bitmap and DCSR,
+    /// unsharded and over a fixed 1×4 grid; and unfused ≡ fused under
+    /// `SortBased` with `structure_only` on and off (the bit, claim and
+    /// sort merges). Identical at 1 and 4 lanes.
+    #[test]
+    fn push_sinks_agree(
+        g in arb_directed(150, 300),
+        f_ids in prop::collection::vec(0usize..150, 0..40),
+        visited_ids in prop::collection::vec(0usize..150, 0..150),
+        weights in prop::collection::vec(1u32..9, 150..151),
+    ) {
+        let n = g.n_vertices();
+        let mut visited = BitVec::new(n);
+        for &i in f_ids.iter().filter(|&&i| i < n) {
+            visited.set(i);
+        }
+        let ids: Vec<u32> = (0..n as u32).filter(|&i| visited.get(i as usize)).collect();
+        let f = Vector::from_sparse(n, false, ids.clone(), vec![true; ids.len()]);
+        // Inexact f64 values, so any change in ⊕ grouping changes the bits.
+        let xs: Vec<f64> = ids.iter().map(|&i| 1.0 / f64::from(weights[i as usize])).collect();
+        let fw = Vector::from_sparse(n, 0.0, ids.clone(), xs);
+        for &i in visited_ids.iter().filter(|&&i| i < n) {
+            visited.set(i);
+        }
+        let complement = Mask::complement(&visited);
+        let base = Descriptor::new().transpose(true).force(Direction::Push);
+        let runs = [1, 4].map(|lanes| {
+            rayon::with_num_threads(lanes, || {
+                let mut out = Vec::new();
+                for format in [StorageFormat::Csr, StorageFormat::Bitmap, StorageFormat::Dcsr] {
+                    for mask in [None, Some(&complement)] {
+                        for shards in [ShardPolicy::Off, ShardPolicy::Fixed(ShardGrid::new(1, 4))] {
+                            let desc = base
+                                .force_format(format)
+                                .merge_strategy(MergeStrategy::SpaMerge)
+                                .shard_policy(shards);
+                            out.push(push_through_every_sink(PlusSecond, &g, &fw, mask, &desc, f64::to_bits));
+                            out.push(push_through_every_sink(BoolStructure, &g, &f, mask, &desc, u64::from));
+                        }
+                        for structure_only in [true, false] {
+                            let desc = base
+                                .force_format(format)
+                                .merge_strategy(MergeStrategy::SortBased)
+                                .structure_only(structure_only);
+                            out.push(push_through_every_sink(PlusSecond, &g, &fw, mask, &desc, f64::to_bits));
+                            out.push(push_through_every_sink(BoolStructure, &g, &f, mask, &desc, u64::from));
+                        }
+                    }
+                }
+                out
+            })
+        });
+        prop_assert_eq!(&runs[0], &runs[1], "1 vs 4 lanes");
+    }
+}
+
+/// A forced bitmap that degrades to CSR (every 64-row tile spans the full
+/// column range, so the tiled bitmap would exceed its bit budget) is
+/// charged to `bitmap_degrades` by fused and unfused calls alike, on both
+/// faces.
+#[test]
+fn fused_and_unfused_charge_bitmap_degrades_alike() {
+    let n = 1usize << 19;
+    let mut coo = Coo::new(n, n);
+    for t in (0..n).step_by(64) {
+        for end in [0, n - 1] {
+            if t != end {
+                coo.push(t as u32, end as u32, true);
+                coo.push(end as u32, t as u32, true);
+            }
+        }
+    }
+    coo.dedup(|a, _| a);
+    let g = Graph::from_coo(&coo);
+    let mut dense = Vector::singleton(n, false, 0, true);
+    dense.make_dense();
+    for (f, dir) in [
+        (Vector::singleton(n, false, 0, true), Direction::Push),
+        (dense, Direction::Pull),
+    ] {
+        let desc = Descriptor::new()
+            .transpose(true)
+            .force(dir)
+            .force_format(StorageFormat::Bitmap);
+        let cu = AccessCounters::new();
+        let w: Vector<bool> = mxv(None, BoolStructure, &g, &f, &desc, Some(&cu)).unwrap();
+        assert_eq!(
+            cu.snapshot().bitmap_degrades,
+            1,
+            "{dir:?}: bitmap must degrade"
+        );
+        let cf = AccessCounters::new();
+        let mut state = vec![false; n];
+        let out = FusedMxv::new(BoolStructure, &g, &f)
+            .descriptor(desc)
+            .counters(Some(&cf))
+            .apply(|y: bool| y)
+            .assign_into(&mut state, |_, z| Some(z))
+            .unwrap();
+        let mut fused = cf.snapshot();
+        fused.fused_saved_writes = 0;
+        assert_eq!(fused, cu.snapshot(), "{dir:?}: fused counters");
+        let explicit: Vec<u32> = w.iter_explicit().map(|(i, _)| i).collect();
+        let assigned: Vec<u32> = out
+            .touched
+            .into_iter()
+            .filter(|&i| state[i as usize])
+            .collect();
+        assert_eq!(assigned, explicit, "{dir:?}: values");
     }
 }
 

@@ -400,3 +400,58 @@ proptest! {
         });
     }
 }
+
+/// Size-line and entry-line tokens a Matrix Market file may carry: small
+/// and boundary integers (the `u32` vertex-id edge, `usize` overflow of a
+/// doubled symmetric nnz, `u64::MAX` and past it) and junk.
+fn mm_token() -> impl Strategy<Value = &'static str> {
+    prop::sample::select(vec![
+        "0",
+        "1",
+        "2",
+        "3",
+        "4294967295",
+        "4294967296",
+        "5000000000",
+        "9223372036854775808",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "2.5",
+        "x",
+    ])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// External input never panics the Matrix Market readers: any header,
+    /// size line and entry lines give `Ok` or `Err`. `read_csr` allocates a
+    /// row pointer per declared row, so it reads only files declaring at
+    /// most 3 rows; the readers it wraps see every size line.
+    #[test]
+    fn matrix_market_readers_never_panic(
+        pattern in any::<bool>(),
+        symmetric in any::<bool>(),
+        size in (mm_token(), mm_token(), mm_token()),
+        entries in prop::collection::vec((mm_token(), mm_token(), mm_token()), 0..5),
+    ) {
+        use push_pull::matrix::mmio::{read_coo, read_coo_pattern, read_csr};
+        let mut text = format!(
+            "%%MatrixMarket matrix coordinate {} {}\n{} {} {}\n",
+            if pattern { "pattern" } else { "real" },
+            if symmetric { "symmetric" } else { "general" },
+            size.0,
+            size.1,
+            size.2,
+        );
+        for (r, c, v) in &entries {
+            text.push_str(&format!("{r} {c} {v}\n"));
+        }
+        let _ = read_coo(std::io::Cursor::new(&text));
+        let _ = read_coo_pattern(std::io::Cursor::new(&text));
+        if size.0.parse::<u64>().is_ok_and(|rows| rows <= 3) {
+            let _ = read_csr(std::io::Cursor::new(&text));
+        }
+    }
+}
